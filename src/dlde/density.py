@@ -12,13 +12,16 @@ inside their leaf neighborhoods.
 
 Scoring is transductive: densities are defined for values of rows that
 were inserted when the tables were built, which guarantees every point
-finds itself (TN is never empty and every density is >= 1).
+finds itself (TN is never empty and every density is >= 1).  A point's
+density depends only on its tuple of h bucket keys, so
+:func:`leaf_point_densities` computes it once per distinct tuple in a
+leaf and gathers the result back to the points.
 
 :func:`point_density` and :func:`subsequence_density` are the one-point
 reference path; :func:`row_densities` computes the same quantities for
-all rows of the fitted matrix at once and is what the forest uses.  The
-two paths agree exactly (integer bucket counts, identical divisions),
-which the test suite pins down.
+all rows of the fitted matrix at once and is what the forest uses.  Both
+read the same count arrays, and they agree exactly (integer bucket
+counts, identical divisions), which the test suite pins down.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .hashing import LeafTables, hash_keys, hash_value
+from .hashing import LeafTables, hash_keys, hash_value, key_digits
 from .tstree import Segment, TSTree, leaves, locate_leaf
 
 __all__ = [
@@ -42,14 +45,21 @@ __all__ = [
 SimilaritySet = set[int]
 
 
+def _key_counts(q: float, tables: LeafTables, j: int) -> np.ndarray:
+    """Per-column counts of q's bucket key in table ``j``; zeros if absent."""
+    hit = np.flatnonzero(tables.keys[j] == hash_value(tables.fns[j], q))
+    if hit.size == 0:
+        return np.zeros(tables.segment.length, dtype=np.int64)
+    return tables.counts[j][hit[0]]
+
+
 def similar_time_points(q: float, tables: LeafTables, j: int) -> SimilaritySet:
     """Columns of the leaf segment whose j-th table contains q's bucket key.
 
     ``j`` indexes ``tables.fns`` (0-based).  Returns 1-based time indices.
     """
-    key = hash_value(tables.fns[j], q)
     start = tables.segment.start
-    return {start + c for c, column in enumerate(tables.counts[j]) if key in column}
+    return {start + int(c) for c in np.flatnonzero(_key_counts(q, tables, j))}
 
 
 def true_similar_set(q: float, tables: LeafTables) -> SimilaritySet:
@@ -97,11 +107,8 @@ def point_density(
             f"value {q!r} at t={t} has an empty similarity set; density is only "
             "defined for values the tables were built from"
         )
-    total = 0
-    for tj in tn:
-        c = tj - segment.start
-        for j, fn in enumerate(tables.fns):
-            total += tables.counts[j][c][hash_value(fn, q)]
+    rows = [_key_counts(q, tables, j) for j in range(tables.h)]
+    total = sum(int(row[tj - segment.start]) for tj in tn for row in rows)
     return total / len(tn)
 
 
@@ -129,11 +136,6 @@ def subsequence_density(
     return float(per_point.mean())
 
 
-# Upper bound on elements of the (rows, L, L) intermediates; keeps memory
-# flat when leaves are unusually long (e.g. hlimit=0).
-_CHUNK_ELEMENTS = 1 << 23
-
-
 def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     """Point densities of every stored value inside one leaf segment.
 
@@ -144,45 +146,50 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     Returns:
         (N, L) array, L the segment length; entry (k, i) is the density of
         x[k, segment.start - 1 + i] at its own time index.
+
+    Raises:
+        ValueError: ``x`` holds a value the tables were not built from.
     """
     block = x[:, tables.segment.columns]
     n, length = block.shape
 
-    # Per hash function: position of every query key in the leaf's key
-    # union (None where the key occurs nowhere) and the per-column count
-    # matrix to gather from.
+    # Per hash function, every point's key as a digit (see key_digits) and
+    # the count-matrix row of every digit, -1 where the tables lack the key.
+    # Digits combine into one mixed-radix code per key tuple; codes are
+    # compacted to their ranks before a product could overflow int64.
     lookups = []
-    for fn, (union, matrix) in zip(tables.fns, tables.dense_counts):
-        keys = hash_keys(fn, block)
-        pos = np.searchsorted(union, keys)
-        pos = np.minimum(pos, union.size - 1)
-        hit = union[pos] == keys
-        lookups.append((np.where(hit, pos, 0), hit, matrix))
+    code = np.zeros(n * length, dtype=np.int64)
+    span = 1  # codes lie in [0, span)
+    for fn, keys in zip(tables.fns, tables.keys):
+        values, digit = key_digits(hash_keys(fn, block).ravel())
+        row = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+        lookups.append((np.where(keys[row] == values, row, -1), digit))
+        if span > np.iinfo(np.int64).max // values.size:
+            uniq, code = np.unique(code, return_inverse=True)
+            span = uniq.size
+        code = code * values.size + digit
+        span *= values.size
 
-    out = np.empty((n, length))
-    chunk = max(1, _CHUNK_ELEMENTS // (length * length))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        total: np.ndarray | None = None
-        member: np.ndarray | None = None
-        for pos, hit, matrix in lookups:
-            # counts[k, i, c]: occurrences of (k, i)'s key in column c
-            counts = matrix[pos[lo:hi]]
-            counts[~hit[lo:hi]] = 0
-            if total is None:
-                total = counts
-                member = counts > 0
-            else:
-                total += counts
-                member &= counts > 0
-        tn_size = member.sum(axis=2)
-        if np.any(tn_size == 0):
-            raise ValueError(
-                "matrix contains values the tables were not built from; "
-                "densities are only defined transductively"
-            )
-        out[lo:hi] = (total * member).sum(axis=2) / tn_size
-    return out
+    # Intersection and count sum once per distinct tuple, through any one
+    # of its points: counts[u, c] is the occurrences of tuple u's key in
+    # column c.
+    uniq, inverse = np.unique(code, return_inverse=True)
+    first = np.empty(uniq.size, dtype=np.intp)
+    first[inverse] = np.arange(code.size)
+    total = np.zeros((uniq.size, length), dtype=np.int64)
+    member = np.ones((uniq.size, length), dtype=bool)
+    for (row, digit), matrix in zip(lookups, tables.counts):
+        rows = row[digit[first]]
+        counts = np.where(rows[:, None] >= 0, matrix[rows], 0)  # a lacking key: N_j empty
+        total += counts
+        member &= counts > 0
+    tn_size = member.sum(axis=1)
+    if np.any(tn_size == 0):
+        raise ValueError(
+            "matrix contains values the tables were not built from; "
+            "densities are only defined transductively"
+        )
+    return ((total * member).sum(axis=1) / tn_size)[inverse].reshape(n, length)
 
 
 def row_densities(

@@ -112,8 +112,9 @@ def fit(
 
     Raises:
         ConfigurationError: Non-positive ``m``/``h``/``slimit``, negative
-            ``hlimit`` or ``seed``, or a dataset too small to sample hash
-            widths for.
+            ``hlimit`` or ``seed``, a dataset too small to sample hash
+            widths for, or values so far off the unit scale that a bucket
+            key would not fit int64 (z-normalize such data first).
     """
     if m < 1:
         raise ConfigurationError(f"tree count must be >= 1, got {m}")
@@ -190,16 +191,45 @@ def _node_to_obj(node: TSTreeNode) -> dict[str, Any]:
     }
 
 
+def _ints(*values: Any) -> tuple[int, ...]:
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"expected integers, got {values!r}")
+    return values
+
+
 def _node_from_obj(obj: dict[str, Any]) -> TSTreeNode:
+    start, end = _ints(obj["start"], obj["end"])
     if "split" not in obj:
-        return TSTreeNode(obj["start"], obj["end"])
-    return TSTreeNode(
-        obj["start"],
-        obj["end"],
-        split_at=obj["split"],
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
-    )
+        return TSTreeNode(start, end)
+    (split,) = _ints(obj["split"])
+    left, right = _node_from_obj(obj["left"]), _node_from_obj(obj["right"])
+    if (left.start, left.end, right.start, right.end) != (start, split - 1, split, end):
+        raise ValueError(f"children of node [{start}, {end}] do not split it at {split}")
+    return TSTreeNode(start, end, split_at=split, left=left, right=right)
+
+
+def _leaf_from_obj(leaf: dict[str, Any], n: int, h: int) -> LeafTables:
+    """Array tables of one dumped leaf; its columns hold [key, count] pairs."""
+    segment = Segment(*_ints(leaf["start"], leaf["end"]))
+    fns = tuple(HashFn(width=w, offset=o) for w, o in leaf["fns"])
+    if not len(fns) == len(leaf["tables"]) == h:
+        raise ValueError(f"{segment} needs h={h} hash functions and tables")
+    keys, counts = [], []
+    for per_fn in leaf["tables"]:
+        pairs = [np.asarray(column) for column in per_fn]
+        if len(pairs) != segment.length or any(
+            p.dtype.kind != "i" or p.shape[1:] != (2,) for p in pairs
+        ):
+            raise ValueError(f"{segment} needs {segment.length} lists of [key, count] per fn")
+        union = np.unique(np.concatenate([p[:, 0] for p in pairs]))
+        matrix = np.zeros((union.size, segment.length), dtype=np.int64)
+        for c, p in enumerate(pairs):
+            matrix[np.searchsorted(union, p[:, 0]), c] = p[:, 1]
+        if np.any(matrix < 0) or np.any(matrix.sum(axis=0) != n):
+            raise ValueError(f"counts of {segment} must be >= 0 and sum to n={n} per column")
+        keys.append(union)
+        counts.append(matrix)
+    return LeafTables(segment, fns, tuple(keys), tuple(counts), n_rows=n)
 
 
 def save_forest(forest: TSForest, path: str | Path) -> None:
@@ -227,8 +257,8 @@ def save_forest(forest: TSForest, path: str | Path) -> None:
                     "end": segment.end,
                     "fns": [[fn.width, fn.offset] for fn in tables.fns],
                     "tables": [
-                        [sorted(column.items()) for column in per_fn]
-                        for per_fn in tables.counts
+                        [list(zip(keys[c > 0].tolist(), c[c > 0].tolist())) for c in matrix.T]
+                        for keys, matrix in zip(tables.keys, tables.counts)
                     ],
                 }
             )
@@ -240,34 +270,30 @@ def load_forest(path: str | Path) -> TSForest:
     """Load a forest previously written by :func:`save_forest`.
 
     Raises:
-        ValueError: the file is not a forest dump or has an unsupported
-            version.
+        ValueError: the file is not a forest dump, has an unsupported
+            version, or is malformed: a field is missing or mistyped, the
+            leaf tables differ from the tree's leaves over 1..d, or a
+            table's counts do not sum to the row count.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != FOREST_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != FOREST_FORMAT:
         raise ValueError(f"{path}: not a {FOREST_FORMAT} file")
     if payload.get("version") != FOREST_VERSION:
         raise ValueError(f"{path}: unsupported version {payload.get('version')!r}")
-    params = ForestParams(**payload["params"])
-    trees = []
-    for entry in payload["trees"]:
-        tree = TSTree(
-            root=_node_from_obj(entry["root"]),
-            hlimit=params.hlimit,
-            slimit=params.slimit,
-        )
-        tables: dict[Segment, LeafTables] = {}
-        for leaf in entry["leaves"]:
-            segment = Segment(leaf["start"], leaf["end"])
-            fns = tuple(HashFn(width=w, offset=o) for w, o in leaf["fns"])
-            counts = tuple(
-                tuple({int(k): int(v) for k, v in column} for column in per_fn)
-                for per_fn in leaf["tables"]
-            )
-            tables[segment] = LeafTables(
-                segment=segment, fns=fns, counts=counts, n_rows=payload["n"]
-            )
-        trees.append(TreeModel(tree=tree, leaf_tables=tables))
-    return TSForest(
-        trees=tuple(trees), params=params, n=payload["n"], d=payload["d"]
-    )
+    try:
+        params = ForestParams(**payload["params"])
+        _ints(*vars(params).values())
+        n, d = _ints(payload["n"], payload["d"])
+        if len(payload["trees"]) != params.m:
+            raise ValueError(f"{len(payload['trees'])} trees stored for m={params.m}")
+        trees = []
+        for entry in payload["trees"]:
+            root = _node_from_obj(entry["root"])
+            tables = [_leaf_from_obj(leaf, n, params.h) for leaf in entry["leaves"]]
+            tree = TSTree(root=root, hlimit=params.hlimit, slimit=params.slimit)
+            if tree.span != Segment(1, d) or [t.segment for t in tables] != leaves(tree):
+                raise ValueError("leaf tables do not match the tree's leaves over 1..d")
+            trees.append(TreeModel(tree=tree, leaf_tables={t.segment: t for t in tables}))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed forest dump: {type(exc).__name__}: {exc}") from exc
+    return TSForest(trees=tuple(trees), params=params, n=n, d=d)

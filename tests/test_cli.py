@@ -95,6 +95,26 @@ class TestDetect:
         assert len(payload["rows"]) == 20
         assert set(payload["rows"][0]) == {"index", "score", "anomaly_score"}
 
+    @pytest.mark.parametrize("value, code", [(1e19, EXIT_CONFIG), (-1e19, EXIT_CONFIG),
+                                             (1e17, EXIT_OK), (-1e17, EXIT_OK)])
+    def test_int64_key_bound(self, tmp_path, capsys, value, code):
+        # keys of 1e19 overflow int64 under any sampled width; 1e17 stays
+        # below 2**63 / log2(N) and is scored as is
+        ds = random_dataset(np.random.default_rng(6), 12, 8)
+        x = ds.subsequences.copy()
+        x[3, 2] = value
+        path = tmp_path / "huge.csv"
+        write_labeled_file(type(ds)(x, ds.labels), path)
+        out = tmp_path / "scores.csv"
+        base = ["detect", "--input", str(path), "--seed", "0"]
+        assert main(base + ["--output", str(out)]) == code
+        if code == EXIT_CONFIG:
+            assert "--normalize" in capsys.readouterr().err
+            assert not out.exists()
+            assert main(base + ["--normalize", "--output", str(out)]) == EXIT_OK
+        _, rows = _read_csv(out)
+        assert all(1.0 <= float(r["score"]) <= 10 * 12 for r in rows)
+
     def test_normalize_flag_changes_scores(self, tmp_path):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, 12, 8)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import dlde.density as density_mod
 from dlde import (
     HashFn,
     LabeledDataset,
@@ -215,12 +214,50 @@ class TestOracleEquivalence:
                     ds.subsequences[k], model.tree, model.leaf_tables
                 )
 
-    def test_row_chunking_does_not_change_results(self, monkeypatch):
+    @staticmethod
+    def _assert_leaves_match_bruteforce(x, model):
+        fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
+        expected = tree_point_densities(x.tolist(), model.tree, fns_by_leaf)
+        got = np.concatenate(
+            [leaf_point_densities(x, model.leaf_tables[seg]) for seg in leaves(model.tree)],
+            axis=1,
+        )
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rounded_duplicated_rows_match_bruteforce(self, seed):
+        # few distinct key tuples, each shared by many points
+        rng = np.random.default_rng(300 + seed)
+        x = np.round(rng.normal(size=(8, 12)), 1)[rng.integers(0, 8, size=24)]
+        ds = LabeledDataset(x, np.zeros(24, int))
+        for model in fit(ds, m=2, h=3, seed=seed).trees:
+            self._assert_leaves_match_bruteforce(x, model)
+
+    def test_all_distinct_tuples_match_bruteforce(self):
+        # values one apart and widths below one: every point has its own
+        # key under every function, so TN is its own column only; with 12
+        # functions over up to 77 keys the tuple codes must be compacted
+        x = np.random.default_rng(9).permutation(11 * 7).reshape(11, 7).astype(float)
+        ds = LabeledDataset(x, np.zeros(11, int))
+        model = fit(ds, m=1, h=12, hlimit=0, seed=2).trees[0]
+        self._assert_leaves_match_bruteforce(x, model)
+        np.testing.assert_array_equal(row_densities(x, model.tree, model.leaf_tables), 12.0)
+
+    def test_single_full_length_leaf_matches_bruteforce(self):
+        # hlimit=0: one leaf over all d columns, the widest (U, L) gathers
         rng = np.random.default_rng(88)
-        ds = LabeledDataset(rng.normal(size=(20, 9)), np.zeros(20, int))
-        forest = fit(ds, m=1, h=2, seed=1)
-        model = forest.trees[0]
-        whole = row_densities(ds.subsequences, model.tree, model.leaf_tables)
-        monkeypatch.setattr(density_mod, "_CHUNK_ELEMENTS", 1)
-        chunked = row_densities(ds.subsequences, model.tree, model.leaf_tables)
-        np.testing.assert_array_equal(whole, chunked)
+        ds = LabeledDataset(rng.normal(size=(20, 40)), np.zeros(20, int))
+        model = fit(ds, m=1, h=2, hlimit=0, seed=1).trees[0]
+        assert leaves(model.tree) == [Segment(1, 40)]
+        self._assert_leaves_match_bruteforce(ds.subsequences, model)
+
+    def test_matrix_not_built_from_rejected(self):
+        ds = LabeledDataset([[0.1, 0.55, 0.1, 0.55]], [0])
+        tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0), HashFn(0.3, 0.0)])
+        # a key that no table holds
+        with pytest.raises(ValueError, match="not built from"):
+            leaf_point_densities(ds.subsequences + 100.0, tables)
+        # 0.4 shares its first key with column 1 only and its second key
+        # with column 2 only, so its similarity set is empty
+        with pytest.raises(ValueError, match="not built from"):
+            leaf_point_densities(np.array([[0.4, 0.55, 0.1, 0.55]]), tables)

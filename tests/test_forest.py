@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from dlde import (
     Segment,
     anomaly_scores,
     fit,
+    leaf_point_densities,
     leaves,
     load_forest,
     save_forest,
@@ -16,6 +20,7 @@ from dlde import (
 )
 
 from conftest import random_dataset
+from reference import tree_point_densities
 
 
 def _constant_dataset(n: int, d: int, value: float = 0.3) -> LabeledDataset:
@@ -48,6 +53,29 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(2), 4, 8)
         with pytest.raises(ConfigurationError, match="too small"):
             fit(ds, seed=0)
+
+    @pytest.mark.parametrize("value", [1e19, -1e19])
+    def test_keys_beyond_int64_rejected(self, value):
+        # the int64 cast used to map every such value to INT64_MIN
+        ds = random_dataset(np.random.default_rng(2), 8, 8)
+        x = ds.subsequences.copy()
+        x[5, 3] = value
+        with pytest.raises(ConfigurationError, match="--normalize"):
+            fit(LabeledDataset(x, ds.labels), seed=0)
+
+    def test_large_admitted_keys_match_bruteforce(self):
+        # |value| 1e17 under widths >= 1/log2(8) gives keys of about 3e17,
+        # still exact in int64 and equal to the Python-int reference keys
+        x = np.random.default_rng(3).normal(size=(8, 8))
+        x[[1, 6]] *= 1e17
+        forest = fit(LabeledDataset(x, np.zeros(8, int)), m=2, h=3, seed=0)
+        for model in forest.trees:
+            fns = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
+            got = np.concatenate(
+                [leaf_point_densities(x, model.leaf_tables[s]) for s in leaves(model.tree)],
+                axis=1,
+            )
+            np.testing.assert_array_equal(got, tree_point_densities(x.tolist(), model.tree, fns))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -113,6 +141,40 @@ class TestScore:
         result = score(fit(ds, m=1, seed=0), ds)
         with pytest.raises(ValueError):
             result.scores[0] = 0.0
+
+
+def _unit_scale_200x96() -> LabeledDataset:
+    rng = np.random.default_rng(96)
+    return LabeledDataset(rng.uniform(-2.0, 2.0, size=(200, 96)), np.zeros(200, int))
+
+
+def _adc_scale_300x100() -> LabeledDataset:
+    """Triangle waves around 2048 with uniform noise, rounded like ADC counts.
+
+    Not normalized, so tables hold hundreds of keys and the mixed-radix
+    key-tuple codes of 10 hash functions exceed int64 before compaction.
+    """
+    rng = np.random.default_rng(100)
+    t = np.arange(100) / 25.0 + rng.uniform(0.0, 4.0, size=(300, 1))
+    triangle = np.abs(t % 4.0 - 2.0) - 1.0
+    x = np.round(2048.0 + 400.0 * triangle + rng.uniform(-70.0, 70.0, size=(300, 100)))
+    return LabeledDataset(x, np.zeros(300, int))
+
+
+class TestScoreFingerprint:
+    # sha256 of the score bytes, recorded before leaf tables became arrays;
+    # the data uses only uniform draws and exact arithmetic
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (_unit_scale_200x96, "d4247d4df7542208a886b798011eb75c1ed3c133d473a568aae1aa5c5e81e19e"),
+            (_adc_scale_300x100, "082b44cc790414bc8ef019526d8450f3bc1bbf186228aea4732eb2bf8960c02b"),
+        ],
+    )
+    def test_scores_byte_identical(self, make, digest):
+        ds = make()
+        scores = score(fit(ds, seed=0), ds).scores
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
 
 
 class TestAnomalyScores:
@@ -187,3 +249,55 @@ class TestSerialization:
         path.write_text('{"format": "dlde-forest", "version": 99}', encoding="utf-8")
         with pytest.raises(ValueError, match="version"):
             load_forest(path)
+
+    @staticmethod
+    def _dump(tmp_path):
+        ds = random_dataset(np.random.default_rng(14), 10, 8)
+        path = tmp_path / "forest.json"
+        save_forest(fit(ds, m=2, h=2, seed=3), path)
+        return path, json.loads(path.read_text(encoding="utf-8"))
+
+    @staticmethod
+    def _assert_rejected(path, payload, match):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_forest(path)
+
+    def test_rejects_missing_fields(self, tmp_path):
+        path, payload = self._dump(tmp_path)
+        self._assert_rejected(path, {"format": "dlde-forest", "version": 1}, "'params'")
+        del payload["trees"][1]["leaves"][0]["fns"]
+        self._assert_rejected(path, payload, "'fns'")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: p.update(n="10"),
+            lambda p: p["params"].update(m=2.0),
+            lambda p: p["params"].update(h=3),
+            lambda p: p["trees"][0]["root"].update(end=True),
+            lambda p: p["trees"][0]["leaves"][0].update(fns=[["0.5", 0.1]] * 2),
+            lambda p: p["trees"][0]["leaves"][0]["tables"][0][0][0].__setitem__(1, 1.5),
+            lambda p: p["trees"][0]["leaves"][0]["tables"][1].pop(),
+            lambda p: p["trees"].pop(),
+            lambda p: p.update(trees={}),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, tmp_path, corrupt):
+        path, payload = self._dump(tmp_path)
+        corrupt(payload)
+        self._assert_rejected(path, payload, "malformed")
+
+    def test_rejects_leaves_that_differ_from_the_tree(self, tmp_path):
+        path, payload = self._dump(tmp_path)
+        dropped = payload["trees"][0]["leaves"].pop()
+        self._assert_rejected(path, payload, "leaves")
+        payload["trees"][0]["leaves"].append(dropped)
+        root = payload["trees"][0]["root"]
+        root["left"]["end"] -= 1  # a gap between the children
+        self._assert_rejected(path, payload, "split")
+
+    def test_rejects_counts_not_summing_to_n(self, tmp_path):
+        path, payload = self._dump(tmp_path)
+        payload["trees"][1]["leaves"][0]["tables"][1][0][0][1] += 1
+        self._assert_rejected(path, payload, "sum to n=10")

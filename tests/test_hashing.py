@@ -79,6 +79,21 @@ class TestHashValue:
         for (i, j), v in np.ndenumerate(values):
             assert keys[i, j] == hash_value(fn, float(v))
 
+    # Under width 0.5 the key is 2 * value.  Keys are floats until the int64
+    # cast, spaced 1024 apart just below 2**63: 2**63 - 1024 is the largest
+    # admitted key and -2**63 the smallest.
+    @pytest.mark.parametrize("value", [2.0**62 - 512, -(2.0**62), 1e17, -1e17])
+    def test_vectorized_matches_scalar_at_int64_boundary(self, value):
+        fn = HashFn(width=0.5, offset=0.0)
+        keys = hash_keys(fn, np.array([value, 0.25]))
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [hash_value(fn, value), 0]
+
+    @pytest.mark.parametrize("value", [2.0**62, -(2.0**62 + 1024), 1e19, -1e19, 1e300])
+    def test_keys_beyond_int64_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="--normalize"):
+            hash_keys(HashFn(width=0.5, offset=0.0), np.array([0.25, value]))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
@@ -104,16 +119,16 @@ class TestBuildLeafTables:
         ds = _identical_rows(8, 6)
         fns = [HashFn(0.5, 0.1), HashFn(0.3, 0.2)]
         tables = build_leaf_tables(ds, Segment(2, 5), fns)
-        for j in range(2):
-            for column in tables.counts[j]:
-                assert len(column) == 1
-                assert next(iter(column.values())) == 8
+        for matrix in tables.counts:
+            assert np.count_nonzero(matrix, axis=0).tolist() == [1, 1, 1, 1]
+            assert matrix.max(axis=0).tolist() == [8, 8, 8, 8]
 
     def test_single_row(self):
         ds = LabeledDataset([[0.1, 0.2, 0.3, 0.4]], [0])
         tables = build_leaf_tables(ds, Segment(1, 4), [HashFn(0.5, 0.0)])
-        for column in tables.counts[0]:
-            assert list(column.values()) == [1]
+        matrix = tables.counts[0]
+        assert np.count_nonzero(matrix, axis=0).tolist() == [1, 1, 1, 1]
+        assert matrix.sum(axis=0).tolist() == [1, 1, 1, 1]
 
     def test_hand_enumerated_counts(self):
         # column 1 values 0.1, 0.6, 0.7 under floor(v / 0.5): keys 0, 1, 1
@@ -126,8 +141,8 @@ class TestBuildLeafTables:
             [0, 0, 0],
         )
         tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0)])
-        assert tables.counts[0][0] == {0: 1, 1: 2}
-        assert tables.counts[0][1] == {2: 3}
+        assert tables.keys[0].tolist() == [0, 1, 2]
+        assert tables.counts[0].tolist() == [[1, 0], [2, 0], [0, 3]]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_column_mass_is_row_count(self, seed):
@@ -138,20 +153,31 @@ class TestBuildLeafTables:
         start = int(rng.integers(1, d))
         end = int(rng.integers(start, d + 1))
         tables = build_leaf_tables(ds, Segment(start, end), fns)
-        for per_fn in tables.counts:
-            for column in per_fn:
-                assert sum(column.values()) == n
-                assert all(v >= 1 for v in column.values())
+        for keys, matrix in zip(tables.keys, tables.counts):
+            assert matrix.dtype == np.int64
+            assert matrix.sum(axis=0).tolist() == [n] * tables.segment.length
+            assert matrix.min() >= 0 and np.all(matrix.max(axis=1) >= 1)  # no unused key
+            assert np.all(np.diff(keys) > 0)
 
-    def test_dense_view_matches_dicts(self):
+    def test_count_matrix_matches_bruteforce(self):
         rng = np.random.default_rng(42)
         ds = LabeledDataset(rng.normal(size=(12, 8)), np.zeros(12, int))
-        tables = build_leaf_tables(ds, Segment(3, 7), [HashFn(0.4, 0.1), HashFn(0.6, 0.0)])
-        for per_fn, (union, matrix) in zip(tables.counts, tables.dense_counts):
-            assert matrix.sum(axis=0).tolist() == [12] * tables.segment.length
-            for c, column in enumerate(per_fn):
-                for key, count in column.items():
-                    assert matrix[int(np.searchsorted(union, key)), c] == count
+        fns = [HashFn(0.4, 0.1), HashFn(0.6, 0.0)]
+        tables = build_leaf_tables(ds, Segment(3, 7), fns)
+        rows = ds.subsequences.tolist()
+        for fn, keys, matrix in zip(fns, tables.keys, tables.counts):
+            for c, t in enumerate(range(3, 8)):
+                column_keys = [hash_value(fn, row[t - 1]) for row in rows]
+                assert sorted(set(column_keys)) == keys[matrix[:, c] > 0].tolist()
+                for key, count in zip(keys.tolist(), matrix[:, c].tolist()):
+                    assert column_keys.count(key) == count
+
+    def test_keys_beyond_int64_rejected(self):
+        ds = LabeledDataset([[0.1, 0.2, 2.0**62, 0.3]], [0])
+        with pytest.raises(ConfigurationError, match="--normalize"):
+            build_leaf_tables(ds, Segment(2, 4), [HashFn(0.5, 0.0)])
+        tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0)])
+        assert tables.keys[0].tolist() == [0]
 
     def test_segment_outside_axis_rejected(self):
         ds = _identical_rows(5, 6)

@@ -17,14 +17,7 @@ from .dataset import (
     write_labeled_file,
     znormalize,
 )
-from .density import (
-    leaf_point_densities,
-    point_density,
-    row_densities,
-    similar_time_points,
-    subsequence_density,
-    true_similar_set,
-)
+from .density import leaf_point_densities, row_densities
 from .errors import (
     ConfigurationError,
     DldeError,
@@ -44,15 +37,8 @@ from .forest import (
     save_forest,
     score,
 )
-from .hashing import (
-    HashFn,
-    LeafTables,
-    build_leaf_tables,
-    hash_keys,
-    hash_value,
-    sample_hash_fn,
-)
-from .tstree import Segment, TSTree, TSTreeNode, build_tstree, leaves, locate_leaf
+from .hashing import HashFn, LeafTables, build_leaf_tables, hash_keys, sample_hash_fn
+from .tstree import Segment, TSTree, TSTreeNode, build_tstree, leaves
 
 __version__ = "0.1.0"
 
@@ -70,17 +56,11 @@ __all__ = [
     "TSTreeNode",
     "build_tstree",
     "leaves",
-    "locate_leaf",
     "HashFn",
     "LeafTables",
     "sample_hash_fn",
-    "hash_value",
     "hash_keys",
     "build_leaf_tables",
-    "similar_time_points",
-    "true_similar_set",
-    "point_density",
-    "subsequence_density",
     "leaf_point_densities",
     "row_densities",
     "ForestParams",

@@ -78,10 +78,9 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class RawSeries:
-    """A single long time series, optionally carrying one label."""
+    """A single long time series."""
 
     values: np.ndarray
-    label: int | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64).ravel()

@@ -33,7 +33,6 @@ __all__ = [
     "HashFn",
     "LeafTables",
     "sample_hash_fn",
-    "hash_value",
     "hash_keys",
     "build_leaf_tables",
 ]
@@ -76,24 +75,11 @@ def sample_hash_fn(n: int, rng: np.random.Generator) -> HashFn:
     return HashFn(width=width, offset=offset)
 
 
-def hash_value(fn: HashFn, value: float) -> int:
-    """Bucket key of a single sample value, as an exact Python int.
-
-    Deterministic and monotone non-decreasing in ``value``.
-
-    Raises:
-        ValueError: ``value`` is NaN or infinite.
-    """
-    if not math.isfinite(value):
-        raise ValueError(f"cannot hash non-finite value {value!r}")
-    return math.floor((value + fn.offset) / fn.width)
-
-
 def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`hash_value` as int64.
+    """Bucket key ``floor((value + offset) / width)`` of every value, as int64.
 
-    Equal to :func:`hash_value` element by element, since both floor the
-    same float64 quotient and every admitted key fits int64 exactly.
+    Exact: the float64 floor of every admitted key fits int64 without
+    rounding, so it equals the key computed in Python integers.
 
     Raises:
         ConfigurationError: a key falls outside [-2**63, 2**63), which

@@ -3,8 +3,8 @@
 A TSTree recursively splits the index range 1..d at uniformly random
 points until a segment is short enough (``slimit``) or the depth cap
 (``hlimit``) is reached.  Its leaves form a partition of the axis into
-contiguous segments; scoring looks up the leaf segment that contains a
-given time index.
+contiguous segments; scoring walks the leaves in temporal order, and each
+leaf's columns are the neighborhood of its time points.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Segment", "TSTreeNode", "TSTree", "build_tstree", "leaves", "locate_leaf"]
+__all__ = ["Segment", "TSTreeNode", "TSTree", "build_tstree", "leaves"]
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class Segment:
     def columns(self) -> slice:
         """0-based column slice selecting this segment from a (N, d) matrix."""
         return slice(self.start - 1, self.end)
-
-    def __contains__(self, t: int) -> bool:
-        return self.start <= t <= self.end
 
 
 @dataclass(frozen=True)
@@ -139,16 +136,3 @@ def leaves(tree: TSTree) -> list[Segment]:
             stack.append(node.left)  # type: ignore[arg-type]
     return out
 
-
-def locate_leaf(tree: TSTree, t: int) -> Segment:
-    """Return the unique leaf segment containing time index ``t``.
-
-    Raises:
-        IndexError: ``t`` lies outside the tree's span.
-    """
-    node = tree.root
-    if not (node.start <= t <= node.end):
-        raise IndexError(f"time index {t} outside span [{node.start}, {node.end}]")
-    while not node.is_leaf:
-        node = node.left if t < node.split_at else node.right  # type: ignore[operator,assignment]
-    return node.segment

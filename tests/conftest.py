@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from dlde import LabeledDataset
+
+# a few dozen examples per property; fits vary too much in time for a deadline
+settings.register_profile("dlde", max_examples=40, deadline=None)
+settings.load_profile("dlde")
 
 
 def random_dataset(
@@ -17,6 +23,20 @@ def random_dataset(
         x[idx] += 3.0
         labels[idx] = 1
     return LabeledDataset(x, labels)
+
+
+@st.composite
+def matrices(draw, min_rows: int = 5, max_rows: int = 14, max_cols: int = 14) -> np.ndarray:
+    """Seeded Gaussian (N, d) matrices on the unit scale or an ADC-like scale.
+
+    Rounding, when drawn, makes key tuples collide; the ADC scale spreads
+    keys over many buckets.
+    """
+    shape = (draw(st.integers(min_rows, max_rows)), draw(st.integers(4, max_cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=shape) * draw(st.sampled_from([1.0, 1000.0]))
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    return x if decimals is None else np.round(x, decimals)
 
 
 def heartbeat_series(

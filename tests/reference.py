@@ -16,7 +16,8 @@ from dlde.forest import TSForest
 from dlde.tstree import Segment, TSTree, leaves
 
 
-def _hash(fn, value: float) -> int:
+def hash_value(fn, value: float) -> int:
+    """Bucket key of one sample value, as an exact Python int."""
     return math.floor((value + fn.offset) / fn.width)
 
 
@@ -34,7 +35,7 @@ def tree_point_densities(
         cols = list(range(seg.start, seg.end + 1))
         # hoisted hash keys; counting below still scans every row
         keys = [
-            [[_hash(fn, rows[k][tc - 1]) for tc in cols] for k in range(n)]
+            [[hash_value(fn, rows[k][tc - 1]) for tc in cols] for k in range(n)]
             for fn in fns
         ]
         for k in range(n):

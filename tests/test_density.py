@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import dlde
 from dlde import (
     HashFn,
     LabeledDataset,
@@ -10,16 +13,16 @@ from dlde import (
     build_leaf_tables,
     build_tstree,
     fit,
+    hash_keys,
     leaf_point_densities,
     leaves,
-    point_density,
     row_densities,
-    similar_time_points,
-    subsequence_density,
-    true_similar_set,
 )
 
+from conftest import matrices
 from reference import tree_point_densities
+
+hash_fns = st.builds(lambda w, f: HashFn(w, w * f), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
 
 
 def _identical_rows(n: int, d: int) -> LabeledDataset:
@@ -34,6 +37,13 @@ def _single_leaf_model(dataset, fns):
     return tree, {segment: tables}
 
 
+def _point_densities(x, tree, leaf_tables):
+    """(N, d) point densities under one tree, leaf blocks in temporal order."""
+    return np.concatenate(
+        [leaf_point_densities(x, leaf_tables[seg]) for seg in leaves(tree)], axis=1
+    )
+
+
 HAND_DATASET = LabeledDataset(
     [
         [0.1, 1.0, 2.0, 3.0],
@@ -44,98 +54,129 @@ HAND_DATASET = LabeledDataset(
 )
 
 
+def test_per_point_path_not_exported():
+    removed = ["similar_time_points", "true_similar_set", "point_density",
+               "subsequence_density", "locate_leaf", "hash_value"]
+    assert [name for name in removed if hasattr(dlde, name)] == []
+    assert len(dlde.__all__) == 39
+    assert {"leaf_point_densities", "leaves", "fit", "score", "LabeledDataset"} <= set(
+        dlde.__all__
+    )
+
+
 class TestSimilarTimePoints:
     def test_constant_data_full_segment(self):
+        # one key in every column: each point is similar to the whole segment
         ds = LabeledDataset(np.full((6, 5), 0.4), np.zeros(6, int))
         tables = build_leaf_tables(ds, Segment(2, 4), [HashFn(0.5, 0.1)])
-        assert similar_time_points(0.4, tables, 0) == {2, 3, 4}
+        np.testing.assert_array_equal(leaf_point_densities(ds.subsequences, tables), 6.0)
 
     def test_hand_enumerated_example(self):
-        # keys at t=1 are {0: 1, 1: 2}; q=0.6 hashes to 1, present at t=1 only
+        # keys at t=1 are {0: 1, 1: 2}, at t=2 {2: 3}; 0.6 and 0.7 hash to 1,
+        # present at t=1 only, so they are similar to t=1 alone
         tables = build_leaf_tables(HAND_DATASET, Segment(1, 2), [HashFn(0.5, 0.0)])
-        assert similar_time_points(0.6, tables, 0) == {1}
-        assert similar_time_points(0.1, tables, 0) == {1}
+        got = leaf_point_densities(HAND_DATASET.subsequences, tables)
+        assert got.tolist() == [[1.0, 3.0], [2.0, 3.0], [2.0, 3.0]]
 
     def test_far_away_query_empty(self):
+        # a value no stored value is near has no similar time points
         ds = _identical_rows(6, 5)
         tables = build_leaf_tables(ds, Segment(1, 5), [HashFn(0.5, 0.1)])
-        assert similar_time_points(1e6, tables, 0) == set()
+        x = ds.subsequences.copy()
+        x[2, 3] = 1e6
+        with pytest.raises(ValueError, match="not built from"):
+            leaf_point_densities(x, tables)
 
 
 class TestTrueSimilarSet:
     def test_single_hash_equals_candidate_set(self):
-        tables = build_leaf_tables(HAND_DATASET, Segment(1, 2), [HashFn(0.5, 0.0)])
-        assert true_similar_set(0.6, tables) == similar_time_points(0.6, tables, 0)
+        # with one function TN is the candidate set: every column where the
+        # point's key occurs, counted from the keys directly
+        rng = np.random.default_rng(3)
+        ds = LabeledDataset(np.round(rng.normal(size=(10, 8)), 1), np.zeros(10, int))
+        fn = HashFn(0.4, 0.1)
+        tables = build_leaf_tables(ds, Segment(2, 7), [fn])
+        keys = hash_keys(fn, ds.subsequences[:, 1:7])
+        got = leaf_point_densities(ds.subsequences, tables)
+        for (k, i), key in np.ndenumerate(keys):
+            counts = (keys == key).sum(axis=0)
+            assert got[k, i] == counts.sum() / np.count_nonzero(counts)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_subset_of_every_candidate_set_and_self_membership(self, seed):
+        # a point's own column is in TN, and every column of TN holds its key
+        # under all h functions, so no density falls below h; a TN wider than
+        # the intersection would admit columns that miss a key
         rng = np.random.default_rng(seed)
-        n, d = 10, 8
+        n, d, h = 10, 8, 3
         ds = LabeledDataset(rng.normal(size=(n, d)), np.zeros(n, int))
-        fns = [HashFn(float(w), float(w) / 2) for w in rng.uniform(0.2, 0.8, size=3)]
+        fns = [HashFn(float(w), float(w) / 2) for w in rng.uniform(0.2, 0.8, size=h)]
         tables = build_leaf_tables(ds, Segment(2, 7), fns)
-        for k in range(n):
-            for t in range(2, 8):
-                q = float(ds.subsequences[k, t - 1])
-                tn = true_similar_set(q, tables)
-                assert t in tn
-                for j in range(3):
-                    assert tn <= similar_time_points(q, tables, j)
+        assert leaf_point_densities(ds.subsequences, tables).min() >= h
 
 
 class TestPointDensity:
     def test_identical_rows_single_hash(self):
         ds = _identical_rows(9, 6)
         tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
-        assert point_density(float(ds.subsequences[0, 0]), 1, tree, tables) == 9.0
+        np.testing.assert_array_equal(_point_densities(ds.subsequences, tree, tables), 9.0)
 
     def test_identical_rows_sums_over_hashes(self):
         ds = _identical_rows(9, 6)
         tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)] * 4)
-        assert point_density(float(ds.subsequences[0, 2]), 3, tree, tables) == 4 * 9.0
+        np.testing.assert_array_equal(
+            _point_densities(ds.subsequences, tree, tables), 4 * 9.0
+        )
 
     def test_single_row_dataset(self):
         ds = LabeledDataset([[0.1, 0.2, 0.3, 0.4]], [0])
         tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.0), HashFn(0.3, 0.1)])
-        assert point_density(0.1, 1, tree, tables) == 2.0
+        np.testing.assert_array_equal(_point_densities(ds.subsequences, tree, tables), 2.0)
+
+    @staticmethod
+    def _assert_within_bounds(x, forest, h):
+        # at least the point's own count under each function, at most all rows
+        for model in forest.trees:
+            got = _point_densities(x, model.tree, model.leaf_tables)
+            assert h <= got.min() and got.max() <= h * x.shape[0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bounds(self, seed):
         rng = np.random.default_rng(seed)
-        n, d, h = 12, 8, 3
-        ds = LabeledDataset(rng.normal(size=(n, d)), np.zeros(n, int))
-        fns = [HashFn(float(w), 0.0) for w in rng.uniform(0.2, 0.8, size=h)]
-        tree, tables = _single_leaf_model(ds, fns)
-        for k in range(n):
-            for t in range(1, d + 1):
-                pd = point_density(float(ds.subsequences[k, t - 1]), t, tree, tables)
-                assert 1.0 <= pd <= h * n
+        x = rng.normal(size=(12, 8))
+        forest = fit(LabeledDataset(x, np.zeros(12, int)), m=2, h=3, seed=seed)
+        self._assert_within_bounds(x, forest, 3)
 
-    def test_out_of_range_index(self):
-        ds = _identical_rows(5, 4)
-        tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
-        with pytest.raises(IndexError):
-            point_density(0.5, 5, tree, tables)
+    @given(x=matrices(), h=st.integers(1, 6), hlimit=st.integers(0, 4), seed=st.integers(0, 99))
+    def test_bounds_hold_on_any_data(self, x, h, hlimit, seed):
+        forest = fit(LabeledDataset(x, np.zeros(len(x), int)), m=1, h=h, hlimit=hlimit, seed=seed)
+        self._assert_within_bounds(x, forest, h)
 
     def test_unseen_value_rejected(self):
         ds = _identical_rows(5, 4)
         tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
-        with pytest.raises(ValueError, match="empty similarity set"):
-            point_density(1e6, 1, tree, tables)
+        x = ds.subsequences.copy()
+        x[0, 0] = 1e6
+        with pytest.raises(ValueError, match="not built from"):
+            row_densities(x, tree, tables)
 
-    def test_duplicating_a_row_never_lowers_its_density(self):
-        rng = np.random.default_rng(17)
-        x = rng.normal(size=(8, 6))
-        fns = [HashFn(0.4, 0.1), HashFn(0.7, 0.2)]
-        base = LabeledDataset(x, np.zeros(8, int))
-        extended = LabeledDataset(np.vstack([x, x[2]]), np.zeros(9, int))
-        tree_a, tables_a = _single_leaf_model(base, fns)
-        tree_b, tables_b = _single_leaf_model(extended, fns)
-        for t in range(1, 7):
-            q = float(x[2, t - 1])
-            assert point_density(q, t, tree_b, tables_b) >= point_density(
-                q, t, tree_a, tables_a
-            )
+    @given(x=matrices(min_rows=1), fns=st.lists(hash_fns, min_size=1, max_size=4), data=st.data())
+    def test_duplicating_a_row_never_lowers_its_density(self, x, fns, data):
+        # a copy of row k adds no key to any column, so no similarity set
+        # changes, while row k's counts can only grow
+        n, d = x.shape
+        k = data.draw(st.integers(0, n - 1))
+        start = data.draw(st.integers(1, d))
+        segment = Segment(start, data.draw(st.integers(start, d)))
+        extended = np.vstack([x, x[k]])
+        before = leaf_point_densities(
+            x, build_leaf_tables(LabeledDataset(x, np.zeros(n, int)), segment, fns)
+        )
+        after = leaf_point_densities(
+            extended,
+            build_leaf_tables(LabeledDataset(extended, np.zeros(n + 1, int)), segment, fns),
+        )
+        assert np.all(after[k] >= before[k])
 
     def test_displaced_row_scores_strictly_lower(self):
         # one row displaced by far more than any bucket width collides with
@@ -146,37 +187,40 @@ class TestPointDensity:
         ds = LabeledDataset(x, np.zeros(n, int))
         fns = [HashFn(0.5, 0.1), HashFn(0.3, 0.0)]
         tree, tables = _single_leaf_model(ds, fns)
-        majority = subsequence_density(x[0], tree, tables)
-        displaced = subsequence_density(x[4], tree, tables)
-        assert displaced == len(fns) * 1.0
-        assert majority == len(fns) * (n - 1)
-        assert displaced < majority
+        densities = row_densities(x, tree, tables)
+        assert densities[4] == len(fns) * 1.0
+        assert densities[0] == len(fns) * (n - 1)
+        assert densities[4] < densities[0]
 
 
 class TestSubsequenceDensity:
     def test_identical_rows(self):
         ds = _identical_rows(7, 5)
         tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
-        for k in range(7):
-            assert subsequence_density(ds.subsequences[k], tree, tables) == 7.0
+        np.testing.assert_array_equal(row_densities(ds.subsequences, tree, tables), 7.0)
 
     def test_shape_mismatch(self):
         ds = _identical_rows(7, 5)
         tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
-        with pytest.raises(ValueError, match="does not match"):
-            subsequence_density(np.zeros(4), tree, tables)
+        with pytest.raises(ValueError, match="matrix width 4 does not match axis length 5"):
+            row_densities(np.zeros((7, 4)), tree, tables)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_self_count_floor(self, seed):
         rng = np.random.default_rng(40 + seed)
         ds = LabeledDataset(rng.normal(size=(9, 7)), np.zeros(9, int))
-        forest = fit(ds, m=2, h=2, seed=seed)
-        model = forest.trees[0]
-        for k in range(9):
-            assert subsequence_density(ds.subsequences[k], model.tree, model.leaf_tables) >= 1.0
+        model = fit(ds, m=2, h=2, seed=seed).trees[0]
+        assert row_densities(ds.subsequences, model.tree, model.leaf_tables).min() >= 1.0
 
 
 class TestOracleEquivalence:
+    @staticmethod
+    def _assert_leaves_match_bruteforce(x, model):
+        fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
+        expected = tree_point_densities(x.tolist(), model.tree, fns_by_leaf)
+        got = _point_densities(x, model.tree, model.leaf_tables)
+        np.testing.assert_array_equal(got, np.array(expected))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_point_densities_match_bruteforce_exactly(self, seed):
         rng = np.random.default_rng(200 + seed)
@@ -187,42 +231,20 @@ class TestOracleEquivalence:
         if seed % 3 == 0:
             x[: n // 2] = x[0]  # force heavy collisions
         ds = LabeledDataset(x, np.zeros(n, int))
-        forest = fit(ds, m=1, h=h, seed=seed)
-        model = forest.trees[0]
-        fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
-        expected = tree_point_densities(x.tolist(), model.tree, fns_by_leaf)
-        # batch path, whole matrix at once
-        batch = np.concatenate(
-            [leaf_point_densities(x, model.leaf_tables[seg]) for seg in leaves(model.tree)],
-            axis=1,
-        )
-        np.testing.assert_array_equal(batch, np.array(expected))
-        # per-point path on a sample of positions
-        for k in range(0, n, 3):
-            for t in range(1, d + 1, 2):
-                got = point_density(float(x[k, t - 1]), t, model.tree, model.leaf_tables)
-                assert got == expected[k][t - 1]
+        self._assert_leaves_match_bruteforce(x, fit(ds, m=1, h=h, seed=seed).trees[0])
 
     def test_batch_equals_per_point_path_exactly(self):
+        # the row mean over the brute-force point densities, taken the way
+        # row_densities takes it, is bit-identical
         rng = np.random.default_rng(77)
         ds = LabeledDataset(rng.normal(size=(14, 10)), np.zeros(14, int))
-        forest = fit(ds, m=3, h=3, seed=5)
-        for model in forest.trees:
-            batch = row_densities(ds.subsequences, model.tree, model.leaf_tables)
-            for k in range(ds.n):
-                assert batch[k] == subsequence_density(
-                    ds.subsequences[k], model.tree, model.leaf_tables
-                )
-
-    @staticmethod
-    def _assert_leaves_match_bruteforce(x, model):
-        fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
-        expected = tree_point_densities(x.tolist(), model.tree, fns_by_leaf)
-        got = np.concatenate(
-            [leaf_point_densities(x, model.leaf_tables[seg]) for seg in leaves(model.tree)],
-            axis=1,
-        )
-        np.testing.assert_array_equal(got, np.array(expected))
+        rows = ds.subsequences.tolist()
+        for model in fit(ds, m=3, h=3, seed=5).trees:
+            fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
+            expected = np.mean(np.array(tree_point_densities(rows, model.tree, fns_by_leaf)), axis=1)
+            np.testing.assert_array_equal(
+                row_densities(ds.subsequences, model.tree, model.leaf_tables), expected
+            )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rounded_duplicated_rows_match_bruteforce(self, seed):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dlde import (
     ConfigurationError,
@@ -19,7 +21,7 @@ from dlde import (
     score,
 )
 
-from conftest import random_dataset
+from conftest import matrices, random_dataset
 from reference import tree_point_densities
 
 
@@ -135,6 +137,19 @@ class TestScore:
         forest = fit(ds, m=1, seed=0)
         with pytest.raises(ValueError, match="does not match fitted"):
             score(forest, other)
+
+    # hash widths depend only on N and trees only on d, and tables are
+    # counts, so reordering the rows reorders the scores bit for bit
+    @given(x=matrices(), m=st.integers(1, 3), h=st.integers(1, 11), seed=st.integers(0, 99),
+           data=st.data())
+    def test_scores_permutation_equivariant(self, x, m, h, seed, data):
+        p = np.array(data.draw(st.permutations(range(len(x)))))
+        labels = np.zeros(len(x), int)
+        ds, shuffled = LabeledDataset(x, labels), LabeledDataset(x[p], labels)
+        np.testing.assert_array_equal(
+            score(fit(shuffled, m=m, h=h, seed=seed), shuffled).scores,
+            score(fit(ds, m=m, h=h, seed=seed), ds).scores[p],
+        )
 
     def test_result_arrays_read_only(self):
         ds = random_dataset(np.random.default_rng(9), 8, 8)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dlde import Segment, build_tstree, leaves, locate_leaf
+from dlde import Segment, build_tstree, leaves
 
 
 class ScriptedRNG:
@@ -100,29 +100,6 @@ def test_internal_children_non_empty():
             assert node.start <= node.split_at - 1
             assert node.split_at <= node.end
             stack.extend([node.left, node.right])
-
-
-class TestLocateLeaf:
-    def test_every_index_found_in_its_leaf(self):
-        rng = np.random.default_rng(13)
-        tree = build_tstree(1, 37, 5, 3, rng)
-        segs = leaves(tree)
-        for t in range(1, 38):
-            segment = locate_leaf(tree, t)
-            assert t in segment
-            assert segment in segs
-
-    def test_single_leaf_tree(self):
-        tree = build_tstree(1, 12, 0, 3, np.random.default_rng(0))
-        for t in (1, 6, 12):
-            assert locate_leaf(tree, t) == Segment(1, 12)
-
-    def test_out_of_range(self):
-        tree = build_tstree(1, 12, 3, 3, np.random.default_rng(0))
-        with pytest.raises(IndexError):
-            locate_leaf(tree, 0)
-        with pytest.raises(IndexError):
-            locate_leaf(tree, 13)
 
 
 class TestBuildValidation:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, parse_labeled_file, znormalize
 from .errors import ConfigurationError, MetricError
-from .forest import fit, score
+from .forest import _tree_sums, fit, score
 from .seeding import RUN_STREAM, derive_seed
 
 __all__ = [
@@ -138,6 +138,18 @@ def run_experiment(
         ConfigurationError: ``repeats`` < 1 or unusable parameters.
         MetricError: labels are single-class.
     """
+    return _runs(config, [config.m], dataset)[0]
+
+
+def _runs(
+    config: ExperimentConfig, ms: list[int], dataset: LabeledDataset | None
+) -> list[ExperimentReport]:
+    """One report per tree count in ``ms``, in order, from one forest per run.
+
+    Tree ``j`` of a run draws only from streams of ``(run seed, j)``, so a
+    fit with ``m`` trees is the first ``m`` trees of one with ``max(ms)``,
+    and its scores are the running density sum after ``m`` trees over ``m``.
+    """
     if config.repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {config.repeats}")
     if dataset is None:
@@ -146,43 +158,32 @@ def run_experiment(
     if len(set(labels.tolist())) < 2:
         raise MetricError("dataset labels contain a single class; AUC undefined")
 
-    aucs: list[float] = []
+    aucs: dict[int, list[float]] = {m: [] for m in ms}
+    seconds: dict[int, list[float]] = {m: [] for m in ms}
     seeds: list[int] = []
-    seconds: list[float] = []
     for i in range(config.repeats):
         run_seed = derive_seed(config.base_seed, RUN_STREAM, i)
         started = time.perf_counter()
-        forest = fit(
-            dataset,
-            m=config.m,
-            h=config.h,
-            slimit=config.slimit,
-            hlimit=config.hlimit,
-            seed=run_seed,
-        )
-        result = score(forest, dataset)
-        run_auc = auc(result.scores, labels)
-        seconds.append(time.perf_counter() - started)
+        forest = fit(dataset, m=max(ms), h=config.h, slimit=config.slimit,
+                     hlimit=config.hlimit, seed=run_seed)
+        # one value is a plain fit and score, where benchmarks/tracing.py times scoring
+        if len(aucs) == 1:
+            scored = [(ms[0], score(forest, dataset).scores)]
+        else:
+            sums = enumerate(_tree_sums(forest, dataset), 1)
+            scored = ((m, acc / m) for m, acc in sums if m in aucs)
+        for m, scores in scored:
+            aucs[m].append(auc(scores, labels))
+            seconds[m].append(time.perf_counter() - started)
         seeds.append(run_seed)
-        aucs.append(run_auc)
 
-    echo: dict[str, Any] = {
-        "dataset_path": None if config.dataset_path is None else str(config.dataset_path),
-        "anomaly_class": config.anomaly_class,
-        "delimiter": config.delimiter,
-        "m": config.m,
-        "h": config.h,
-        "slimit": config.slimit,
-        "hlimit": config.hlimit,
-        "repeats": config.repeats,
-        "base_seed": config.base_seed,
-        "normalize": config.normalize,
-        "n": dataset.n,
-        "d": dataset.d,
-    }
-    return ExperimentReport(
-        aucs=tuple(aucs), seeds=tuple(seeds), seconds=tuple(seconds), config=echo
-    )
+    path = None if config.dataset_path is None else str(config.dataset_path)
+    echo = {**vars(config), "dataset_path": path, "n": dataset.n, "d": dataset.d}
+    return [
+        ExperimentReport(aucs=tuple(aucs[m]), seeds=tuple(seeds),
+                         seconds=tuple(seconds[m]), config={**echo, "m": m})
+        for m in ms
+    ]
 
 
 def sweep(
@@ -195,7 +196,10 @@ def sweep(
 
     Every report derives its run seeds from the same base seed, so the
     resulting curve isolates the effect of the swept parameter.  Reports
-    are returned in input order.
+    are returned in input order.  A sweep over ``m`` fits ``max(values)``
+    trees once per run and scores each smaller ``m`` from its first ``m``
+    trees, so each report equals :func:`run_experiment` with that ``m``;
+    ``seconds`` then runs from the start of the run to the AUC of ``m``.
 
     Raises:
         ConfigurationError: unknown parameter name, empty value list, or
@@ -210,7 +214,6 @@ def sweep(
             raise ConfigurationError(f"invalid value for {param}: {v!r} (need integer >= 1)")
     if dataset is None:
         dataset = _load(config)
-    return [
-        run_experiment(replace(config, **{param: int(v)}), dataset=dataset)
-        for v in values
-    ]
+    if param == "m":
+        return _runs(config, [int(v) for v in values], dataset)
+    return [run_experiment(replace(config, h=int(v)), dataset=dataset) for v in values]

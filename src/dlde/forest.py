@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -149,6 +150,16 @@ def score(forest: TSForest, dataset: LabeledDataset) -> ScoreVector:
     Raises:
         ValueError: dataset shape differs from the fitted (N, d).
     """
+    *_, acc = _tree_sums(forest, dataset)
+    scores = acc / forest.params.m
+    return ScoreVector(scores=scores, anomaly_scores=anomaly_scores(scores))
+
+
+def _tree_sums(forest: TSForest, dataset: LabeledDataset) -> Iterator[np.ndarray]:
+    """Row density sums over the first k trees, yielded in place for k = 1..m.
+
+    The one accumulation whose order decides the bits of every score.
+    """
     if (dataset.n, dataset.d) != (forest.n, forest.d):
         raise ValueError(
             f"dataset shape ({dataset.n}, {dataset.d}) does not match fitted "
@@ -158,8 +169,7 @@ def score(forest: TSForest, dataset: LabeledDataset) -> ScoreVector:
     acc = np.zeros(dataset.n)
     for model in forest.trees:
         acc += row_densities(x, model.tree, model.leaf_tables)
-    scores = acc / forest.params.m
-    return ScoreVector(scores=scores, anomaly_scores=anomaly_scores(scores))
+        yield acc
 
 
 def anomaly_scores(scores: np.ndarray | list[float]) -> np.ndarray:

@@ -82,12 +82,15 @@ def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
     rounding, so it equals the key computed in Python integers.
 
     Raises:
-        ConfigurationError: a key falls outside [-2**63, 2**63), which
-            happens only for data far off the unit scale.
+        ConfigurationError: a value is NaN or infinite, or a key falls
+            outside [-2**63, 2**63) because the data is far off unit scale.
     """
     values = np.asarray(values, dtype=np.float64)
     keys = np.floor((values + fn.offset) / fn.width)
+    # non-finite values give non-finite keys, which fail this range test
     if keys.size and not (-_KEY_LIMIT <= keys.min() and keys.max() < _KEY_LIMIT):
+        if not np.isfinite(values).all():
+            raise ConfigurationError("NaN or infinite values have no bucket key")
         raise ConfigurationError(
             f"values up to {float(np.abs(values).max()):.3g} give bucket keys outside "
             f"the int64 range under width {fn.width:.3g}; the data must be near unit "

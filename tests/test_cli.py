@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dlde import write_labeled_file
+from dlde import LabeledDataset, write_labeled_file
 from dlde.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_METRIC, EXIT_OK, main
 
 from conftest import heartbeat_series, random_dataset
@@ -248,6 +248,28 @@ class TestSweep:
         sweep_config, sweep_rows = _read_csv(sweep_out)
         eval_config, _ = _read_csv(eval_out)
         assert float(sweep_rows[0]["mean_auc"]) == eval_config["mean_auc"]
+
+    def test_m_sweep_matches_evaluate_per_value(self, tmp_path):
+        # labels unrelated to the rows, so the AUC varies with the tree count
+        rng = np.random.default_rng(6)
+        data = tmp_path / "data.csv"
+        write_labeled_file(
+            LabeledDataset(rng.normal(size=(20, 10)), (np.arange(20) % 4 == 0).astype(int)), data
+        )
+        shared = ["--input", str(data), "--anomaly-class", "1", "--repeats", "2",
+                  "--hashes", "2", "--seed", "5"]
+        sweep_out = tmp_path / "sweep.csv"
+        assert main(["sweep", *shared, "--param", "m", "--values", "5,1,5,2",
+                     "--output", str(sweep_out)]) == EXIT_OK
+        _, rows = _read_csv(sweep_out)
+        for row in rows:
+            eval_out = tmp_path / f"eval_{row['value']}.csv"
+            assert main(["evaluate", *shared, "--trees", row["value"],
+                         "--output", str(eval_out)]) == EXIT_OK
+            eval_config, _ = _read_csv(eval_out)
+            assert float(row["mean_auc"]) == eval_config["mean_auc"]
+        assert [r["value"] for r in rows] == ["5", "1", "5", "2"]
+        assert len({r["mean_auc"] for r in rows}) == 3
 
     def test_bad_values_exit_config(self, tmp_path):
         data = _write_dataset(tmp_path)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import dlde.forest
 from dlde import (
     ConfigurationError,
     ExperimentConfig,
+    LabeledDataset,
     MetricError,
     auc,
     fit,
@@ -143,6 +147,36 @@ class TestSweep:
         [report] = sweep(cfg, "m", [5], dataset=ds)
         alone = run_experiment(_config(repeats=3, m=5), dataset=ds)
         assert report.aucs == alone.aucs
+
+    @staticmethod
+    def _random_labels(seed: int) -> LabeledDataset:
+        # labels unrelated to the rows, so AUCs vary with m and the run seed
+        rng = np.random.default_rng(seed)
+        return LabeledDataset(rng.normal(size=(15, 8)), (np.arange(15) % 3 == 0).astype(int))
+
+    def test_m_sweep_equals_run_experiment_per_value(self):
+        ds = self._random_labels(14)
+        cfg = _config(repeats=3)
+        reports = sweep(cfg, "m", [4, 1, 4, 2], dataset=ds)
+        assert len({r.aucs for r in reports}) == 3
+        for v, report in zip([4, 1, 4, 2], reports):
+            alone = run_experiment(replace(cfg, m=v), dataset=ds)
+            assert (report.aucs, report.seeds, report.config) == (
+                alone.aucs, alone.seeds, alone.config
+            )
+
+    def test_m_sweep_fits_one_forest_per_run(self, monkeypatch):
+        built = []
+        build = dlde.forest.build_tstree
+        monkeypatch.setattr(
+            dlde.forest, "build_tstree", lambda *args: built.append(1) or build(*args)
+        )
+        four, one, _, two = sweep(_config(repeats=3), "m", [4, 1, 4, 2],
+                                  dataset=self._random_labels(15))
+        assert len(built) == 3 * 4  # repeats x max(values)
+        # seconds of m run from the start of a run to the AUC of m
+        for run in range(3):
+            assert one.seconds[run] <= two.seconds[run] <= four.seconds[run]
 
     def test_reports_in_input_order(self):
         ds = random_dataset(np.random.default_rng(9), 15, 8, anomalies=4)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dlde import (
     save_forest,
     score,
 )
+from dlde.forest import _tree_sums
 
 from conftest import matrices, random_dataset
 from reference import tree_point_densities
@@ -112,6 +114,17 @@ class TestDeterminism:
         for i in range(2):
             assert small.trees[i].tree == large.trees[i].tree
             assert small.trees[i].leaf_tables == large.trees[i].leaf_tables
+
+    # what lets a sweep over m fit once per run at the largest m: the running
+    # sum after k trees of the larger forest gives the smaller forest's scores
+    @given(x=matrices(), k=st.integers(1, 3), extra=st.integers(0, 3), h=st.integers(1, 6),
+           seed=st.integers(0, 99))
+    def test_forest_prefix(self, x, k, extra, h, seed):
+        ds = LabeledDataset(x, np.zeros(len(x), int))
+        small, large = fit(ds, m=k, h=h, seed=seed), fit(ds, m=k + extra, h=h, seed=seed)
+        assert small.trees == large.trees[:k]
+        acc = next(islice(_tree_sums(large, ds), k - 1, None))
+        assert (acc / k).tobytes() == score(small, ds).scores.tobytes()
 
 
 class TestScore:

@@ -38,7 +38,7 @@ from .forest import (
     score,
 )
 from .hashing import HashFn, LeafTables, build_leaf_tables, hash_keys, sample_hash_fn
-from .tstree import Segment, TSTree, TSTreeNode, build_tstree, leaves
+from .tstree import Segment, TSTree, build_tstree, leaves
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "znormalize",
     "Segment",
     "TSTree",
-    "TSTreeNode",
     "build_tstree",
     "leaves",
     "HashFn",

@@ -230,10 +230,18 @@ def znormalize(dataset: LabeledDataset) -> LabeledDataset:
 
     Rows with zero variance become all-zero rows.  Idempotent up to
     floating-point round-off.
+
+    Raises:
+        ConfigurationError: a row's mean or standard deviation overflows
+            float64, as deviations beyond about 1e154 make it do.
     """
     x = dataset.subsequences
-    mean = x.mean(axis=1, keepdims=True)
-    std = x.std(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+        std = x.std(axis=1, keepdims=True)
+    if not np.isfinite(std).all():  # a non-finite mean makes std non-finite too
+        row = int(np.argmin(np.isfinite(std)))
+        raise ConfigurationError(f"row {row}: mean or std overflows, so it cannot be z-normalized")
     flat = std[:, 0] == 0.0
     safe = np.where(std == 0.0, 1.0, std)
     out = (x - mean) / safe

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .hashing import LeafTables, hash_keys, key_digits
-from .tstree import Segment, TSTree, leaves
+from .tstree import Segment, TSTree
 
 __all__ = ["leaf_point_densities", "row_densities"]
 
@@ -104,5 +104,5 @@ def row_densities(
     # Leaf blocks concatenate to the full (N, d) per-point density matrix in
     # temporal order; the row mean's summation order, and so every score
     # bit, follows that layout.
-    blocks = [leaf_point_densities(x, leaf_tables[seg]) for seg in leaves(tree)]
+    blocks = [leaf_point_densities(x, leaf_tables[seg]) for seg in tree.segments]
     return np.concatenate(blocks, axis=1).mean(axis=1)

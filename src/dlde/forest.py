@@ -8,7 +8,7 @@ Scores are min-max flipped into anomaly scores in [0, 1] so that the
 most anomalous row gets the highest value.
 
 Scoring is transductive: :func:`score` expects the same dataset the
-forest was fitted on.
+forest was fitted on.  A dump keeps each tree as its leaf segments and depths.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .density import row_densities
 from .errors import ConfigurationError
 from .hashing import HashFn, LeafTables, build_leaf_tables, sample_hash_fn
 from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, validate_seed
-from .tstree import Segment, TSTree, TSTreeNode, build_tstree, leaves
+from .tstree import Segment, TSTree, _is_full_binary, build_tstree
 
 __all__ = [
     "ForestParams",
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 FOREST_FORMAT = "dlde-forest"
-FOREST_VERSION = 1
+FOREST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def fit(
             1, dataset.d, resolved_hlimit, slimit, spawn_rng(seed, TREE_STREAM, i)
         )
         tables: dict[Segment, LeafTables] = {}
-        for ordinal, segment in enumerate(leaves(tree)):
+        for ordinal, segment in enumerate(tree.segments):
             rng = spawn_rng(seed, HASH_STREAM, i, ordinal)
             fns = tuple(sample_hash_fn(dataset.n, rng) for _ in range(h))
             tables[segment] = build_leaf_tables(dataset, segment, fns)
@@ -189,33 +189,10 @@ def anomaly_scores(scores: np.ndarray | list[float]) -> np.ndarray:
     return 1.0 - (s - lo) / (hi - lo)
 
 
-def _node_to_obj(node: TSTreeNode) -> dict[str, Any]:
-    if node.is_leaf:
-        return {"start": node.start, "end": node.end}
-    return {
-        "start": node.start,
-        "end": node.end,
-        "split": node.split_at,
-        "left": _node_to_obj(node.left),  # type: ignore[arg-type]
-        "right": _node_to_obj(node.right),  # type: ignore[arg-type]
-    }
-
-
 def _ints(*values: Any) -> tuple[int, ...]:
     if not all(type(v) is int for v in values):
         raise ValueError(f"expected integers, got {values!r}")
     return values
-
-
-def _node_from_obj(obj: dict[str, Any]) -> TSTreeNode:
-    start, end = _ints(obj["start"], obj["end"])
-    if "split" not in obj:
-        return TSTreeNode(start, end)
-    (split,) = _ints(obj["split"])
-    left, right = _node_from_obj(obj["left"]), _node_from_obj(obj["right"])
-    if (left.start, left.end, right.start, right.end) != (start, split - 1, split, end):
-        raise ValueError(f"children of node [{start}, {end}] do not split it at {split}")
-    return TSTreeNode(start, end, split_at=split, left=left, right=right)
 
 
 def _leaf_from_obj(leaf: dict[str, Any], n: int, h: int) -> LeafTables:
@@ -245,9 +222,9 @@ def _leaf_from_obj(leaf: dict[str, Any], n: int, h: int) -> LeafTables:
 def save_forest(forest: TSForest, path: str | Path) -> None:
     """Dump a fitted forest to a versioned JSON file.
 
-    The format (documented in the README) stores the tree structures, the
-    per-leaf hash parameters and the count tables, and round-trips
-    exactly; it is not guaranteed stable across package versions.
+    The format (documented in the README) stores every leaf with its depth,
+    hash parameters and count tables, and round-trips exactly; it is not
+    guaranteed stable across package versions.
     """
     payload: dict[str, Any] = {
         "format": FOREST_FORMAT,
@@ -258,13 +235,14 @@ def save_forest(forest: TSForest, path: str | Path) -> None:
         "trees": [],
     }
     for model in forest.trees:
-        entry: dict[str, Any] = {"root": _node_to_obj(model.tree.root), "leaves": []}
-        for segment in leaves(model.tree):
+        entry: dict[str, Any] = {"leaves": []}
+        for segment, depth in zip(model.tree.segments, model.tree.depths):
             tables = model.leaf_tables[segment]
             entry["leaves"].append(
                 {
                     "start": segment.start,
                     "end": segment.end,
+                    "depth": depth,
                     "fns": [[fn.width, fn.offset] for fn in tables.fns],
                     "tables": [
                         [list(zip(keys[c > 0].tolist(), c[c > 0].tolist())) for c in matrix.T]
@@ -281,9 +259,9 @@ def load_forest(path: str | Path) -> TSForest:
 
     Raises:
         ValueError: the file is not a forest dump, has an unsupported
-            version, or is malformed: a field is missing or mistyped, the
-            leaf tables differ from the tree's leaves over 1..d, or a
-            table's counts do not sum to the row count.
+            version, or is malformed: a field is missing or mistyped, a
+            tree's leaves do not tile 1..d or their depths do not form a
+            full binary tree, or a table's counts do not sum to n.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or payload.get("format") != FOREST_FORMAT:
@@ -298,12 +276,15 @@ def load_forest(path: str | Path) -> TSForest:
             raise ValueError(f"{len(payload['trees'])} trees stored for m={params.m}")
         trees = []
         for entry in payload["trees"]:
-            root = _node_from_obj(entry["root"])
             tables = [_leaf_from_obj(leaf, n, params.h) for leaf in entry["leaves"]]
-            tree = TSTree(root=root, hlimit=params.hlimit, slimit=params.slimit)
-            if tree.span != Segment(1, d) or [t.segment for t in tables] != leaves(tree):
-                raise ValueError("leaf tables do not match the tree's leaves over 1..d")
-            trees.append(TreeModel(tree=tree, leaf_tables={t.segment: t for t in tables}))
+            segments = tuple(t.segment for t in tables)
+            bounds = [1] + [s.end + 1 for s in segments]
+            if [s.start for s in segments] != bounds[:-1] or bounds[-1] != d + 1:
+                raise ValueError(f"leaves {segments} do not tile 1..{d}")
+            depths = _ints(*(leaf["depth"] for leaf in entry["leaves"]))
+            if not _is_full_binary(depths):
+                raise ValueError(f"leaf depths {depths} are not those of a full binary tree")
+            trees.append(TreeModel(TSTree(segments, depths), {t.segment: t for t in tables}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed forest dump: {type(exc).__name__}: {exc}") from exc
     return TSForest(trees=tuple(trees), params=params, n=n, d=d)

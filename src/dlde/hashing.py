@@ -86,8 +86,9 @@ def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
             outside [-2**63, 2**63) because the data is far off unit scale.
     """
     values = np.asarray(values, dtype=np.float64)
-    keys = np.floor((values + fn.offset) / fn.width)
-    # non-finite values give non-finite keys, which fail this range test
+    with np.errstate(over="ignore"):
+        keys = np.floor((values + fn.offset) / fn.width)
+    # non-finite values and overflowing keys are non-finite: they fail this range test
     if keys.size and not (-_KEY_LIMIT <= keys.min() and keys.max() < _KEY_LIMIT):
         if not np.isfinite(values).all():
             raise ConfigurationError("NaN or infinite values have no bucket key")

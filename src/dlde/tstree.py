@@ -2,9 +2,10 @@
 
 A TSTree recursively splits the index range 1..d at uniformly random
 points until a segment is short enough (``slimit``) or the depth cap
-(``hlimit``) is reached.  Its leaves form a partition of the axis into
-contiguous segments; scoring walks the leaves in temporal order, and each
-leaf's columns are the neighborhood of its time points.
+(``hlimit``) is reached.  Scoring needs only the leaves, so a tree is
+stored as its leaf segments in temporal order, which partition the axis
+into contiguous segments, and the depth of each leaf.  Each leaf's
+columns are the neighborhood of its time points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Segment", "TSTreeNode", "TSTree", "build_tstree", "leaves"]
+__all__ = ["Segment", "TSTree", "build_tstree", "leaves"]
 
 
 @dataclass(frozen=True)
@@ -38,38 +39,32 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class TSTreeNode:
-    start: int
-    end: int
-    split_at: int | None = None  # first index of the right child; None for leaves
-    left: TSTreeNode | None = None
-    right: TSTreeNode | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.split_at is None
-
-    @property
-    def segment(self) -> Segment:
-        return Segment(self.start, self.end)
-
-
-@dataclass(frozen=True)
 class TSTree:
-    """An immutable random split tree over a contiguous index range."""
+    """An immutable random split tree, kept as its leaves.
 
-    root: TSTreeNode
-    hlimit: int
-    slimit: int
+    ``segments`` are the leaves in temporal order; ``depths[i]`` is the
+    depth of ``segments[i]`` (root = 0).
+    """
 
-    @property
-    def span(self) -> Segment:
-        return self.root.segment
+    segments: tuple[Segment, ...]
+    depths: tuple[int, ...]
 
     @property
     def d(self) -> int:
         """Time-axis length for trees spanning 1..d."""
-        return self.root.end
+        return self.segments[-1].end
+
+
+def _is_full_binary(depths: tuple[int, ...]) -> bool:
+    """Whether leaf depths, left to right, are those of a full binary tree:
+    adjacent siblings (equal depths) merge into their parent until the root."""
+    stack: list[int] = []
+    for depth in depths:
+        while stack and stack[-1] == depth:
+            stack.pop()
+            depth -= 1
+        stack.append(depth)
+    return stack == [0]
 
 
 def build_tstree(
@@ -84,8 +79,9 @@ def build_tstree(
     A node [a, b] becomes a leaf when its length is <= ``slimit`` or its
     depth (root = 0) has reached ``hlimit``.  Otherwise a split point
     ``st`` is drawn uniformly from {a+1, ..., b} and the children cover
-    [a, st-1] and [st, b], so both are non-empty.  Equal inputs and an
-    equally seeded ``rng`` reproduce the tree exactly.
+    [a, st-1] and [st, b], so both are non-empty.  Split points are drawn
+    in preorder (a node, then its whole left subtree, then its right), so
+    equal inputs and an equally seeded ``rng`` reproduce the tree exactly.
 
     Raises:
         ValueError: ``t_start > t_end``, negative ``hlimit``, or
@@ -99,40 +95,20 @@ def build_tstree(
         raise ValueError(f"hlimit must be >= 0, got {hlimit}")
     if slimit < 1:
         raise ValueError(f"slimit must be >= 1, got {slimit}")
-    root = _grow(t_start, t_end, 0, hlimit, slimit, rng)
-    return TSTree(root=root, hlimit=hlimit, slimit=slimit)
-
-
-def _grow(
-    start: int,
-    end: int,
-    depth: int,
-    hlimit: int,
-    slimit: int,
-    rng: np.random.Generator,
-) -> TSTreeNode:
-    if end - start + 1 <= slimit or depth >= hlimit:
-        return TSTreeNode(start, end)
-    st = int(rng.integers(start + 1, end + 1))
-    return TSTreeNode(
-        start,
-        end,
-        split_at=st,
-        left=_grow(start, st - 1, depth + 1, hlimit, slimit, rng),
-        right=_grow(st, end, depth + 1, hlimit, slimit, rng),
-    )
+    segments: list[Segment] = []
+    depths: list[int] = []
+    stack = [(t_start, t_end, 0)]
+    while stack:
+        start, end, depth = stack.pop()
+        if end - start + 1 <= slimit or depth >= hlimit:
+            segments.append(Segment(start, end))
+            depths.append(depth)
+        else:
+            st = int(rng.integers(start + 1, end + 1))
+            stack += [(st, end, depth + 1), (start, st - 1, depth + 1)]
+    return TSTree(tuple(segments), tuple(depths))
 
 
 def leaves(tree: TSTree) -> list[Segment]:
     """All leaf segments in left-to-right (temporal) order."""
-    out: list[Segment] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(node.segment)
-        else:
-            stack.append(node.right)  # type: ignore[arg-type]
-            stack.append(node.left)  # type: ignore[arg-type]
-    return out
-
+    return list(tree.segments)

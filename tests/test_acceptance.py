@@ -40,6 +40,7 @@ from dlde import (
     window_series,
 )
 from dlde.density import row_densities
+from dlde.tstree import _is_full_binary
 
 from conftest import heartbeat_series, random_dataset
 from reference import forest_scores, tree_row_densities
@@ -130,16 +131,10 @@ def test_criterion_2_structural_invariants():
         for a, b in zip(segs, segs[1:]):
             assert b.start == a.end + 1
 
-        stack = [(tree.root, 0)]
-        while stack:
-            node, depth = stack.pop()
+        assert _is_full_binary(tree.depths)
+        for segment, depth in zip(tree.segments, tree.depths, strict=True):
             assert depth <= hlimit
-            if node.is_leaf:
-                assert node.end - node.start + 1 <= slimit or depth == hlimit
-            else:
-                assert node.start < node.split_at <= node.end
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
+            assert segment.length <= slimit or depth == hlimit
         checked += 1
     _report(2, checked == 10_000, f"{checked} trees satisfied all structural invariants")
 

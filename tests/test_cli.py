@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dlde
 from dlde import LabeledDataset, write_labeled_file
 from dlde.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_METRIC, EXIT_OK, main
 
@@ -114,6 +119,24 @@ class TestDetect:
             assert main(base + ["--normalize", "--output", str(out)]) == EXIT_OK
         _, rows = _read_csv(out)
         assert all(1.0 <= float(r["score"]) <= 10 * 12 for r in rows)
+
+    def test_overflowing_key_prints_only_the_error(self, tmp_path):
+        # 1.7e308 / width overflows float64; a separate process shows whether
+        # numpy's overflow warning reaches stderr beside the exit-2 message
+        ds = random_dataset(np.random.default_rng(6), 12, 8)
+        x = ds.subsequences.copy()
+        x[3, 2] = 1.7e308
+        path = tmp_path / "huge.csv"
+        write_labeled_file(type(ds)(x, ds.labels), path)
+        env = dict(os.environ)
+        src = str(Path(dlde.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        cmd = [sys.executable, "-m", "dlde.cli", "detect", "--input", str(path),
+               "--output", str(tmp_path / "scores.csv")]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_CONFIG
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("dlde: configuration error: ")
 
     def test_normalize_flag_changes_scores(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -279,6 +302,24 @@ class TestSweep:
              "--param", "m", "--values", "1,two", "--output", str(out)]
         )
         assert code == EXIT_CONFIG
+
+
+# a 1e200 spike overflows a row's std, two values of 1.7e308 its mean
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+@pytest.mark.parametrize("values", [[1e200], [1.7e308, 1.7e308]])
+def test_normalize_rejects_overflowing_rows(tmp_path, capsys, command, values):
+    ds = random_dataset(np.random.default_rng(6), 12, 8, anomalies=3)
+    x = ds.subsequences.copy()
+    x[3, : len(values)] = values
+    path = tmp_path / "huge.csv"
+    write_labeled_file(type(ds)(x, ds.labels), path)
+    out = tmp_path / "out.csv"
+    args = [command, "--input", str(path), "--normalize", "--output", str(out)]
+    if command == "evaluate":
+        args += ["--anomaly-class", "1", "--repeats", "2"]
+    assert main(args) == EXIT_CONFIG
+    assert "dlde: configuration error: row 3: mean or std overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestParser:

@@ -198,6 +198,18 @@ class TestZnormalize:
         ds = LabeledDataset(np.random.default_rng(4).normal(size=(3, 5)), labels)
         np.testing.assert_array_equal(znormalize(ds).labels, labels)
 
+    # a 1e200 spike overflows the std (the row used to come out all zeros);
+    # two values of 1.7e308 overflow the mean
+    @pytest.mark.parametrize("row", [[1e200, 0, 0, 0, 0, 0], [1.7e308, 1.7e308, 0, 0, 0, 0]])
+    def test_overflowing_rows_rejected(self, row):
+        ds = LabeledDataset([[0.0, 1, 2, 3, 4, 5], row], [0, 0])
+        with pytest.raises(ConfigurationError, match="row 1: mean or std overflows"):
+            znormalize(ds)
+
+    def test_large_finite_row_normalized(self):
+        out = znormalize(LabeledDataset([[1e150, 0, 0, 0, 0, 0]], [0])).subsequences[0]
+        np.testing.assert_allclose(out, [5 / np.sqrt(5)] + [-1 / np.sqrt(5)] * 5, rtol=1e-12)
+
 
 class TestContainers:
     def test_dataset_rejects_short_rows(self):

@@ -56,9 +56,9 @@ HAND_DATASET = LabeledDataset(
 
 def test_per_point_path_not_exported():
     removed = ["similar_time_points", "true_similar_set", "point_density",
-               "subsequence_density", "locate_leaf", "hash_value"]
+               "subsequence_density", "locate_leaf", "hash_value", "TSTreeNode"]
     assert [name for name in removed if hasattr(dlde, name)] == []
-    assert len(dlde.__all__) == 39
+    assert len(dlde.__all__) == 38
     assert {"leaf_point_densities", "leaves", "fit", "score", "LabeledDataset"} <= set(
         dlde.__all__
     )

@@ -253,10 +253,12 @@ class TestEnsembleStability:
 
 
 class TestSerialization:
-    def test_round_trip_scores_identical(self, tmp_path):
-        ds = random_dataset(np.random.default_rng(13), 11, 9, anomalies=2)
-        forest = fit(ds, m=3, h=2, seed=21)
-        path = tmp_path / "forest.json"
+    @given(x=matrices(), m=st.integers(1, 3), h=st.integers(1, 4), hlimit=st.integers(0, 4),
+           seed=st.integers(0, 99))
+    def test_round_trip_scores_identical(self, tmp_path_factory, x, m, h, hlimit, seed):
+        ds = LabeledDataset(x, np.zeros(len(x), int))
+        forest = fit(ds, m=m, h=h, hlimit=hlimit, seed=seed)
+        path = tmp_path_factory.mktemp("dump") / "forest.json"
         save_forest(forest, path)
         loaded = load_forest(path)
         assert loaded.params == forest.params
@@ -277,6 +279,10 @@ class TestSerialization:
         path.write_text('{"format": "dlde-forest", "version": 99}', encoding="utf-8")
         with pytest.raises(ValueError, match="version"):
             load_forest(path)
+        # version 1 nested each tree beside its leaves; it has no reader
+        path, payload = self._dump(tmp_path)
+        payload["version"] = 1
+        self._assert_rejected(path, payload, "unsupported version 1")
 
     @staticmethod
     def _dump(tmp_path):
@@ -293,9 +299,12 @@ class TestSerialization:
 
     def test_rejects_missing_fields(self, tmp_path):
         path, payload = self._dump(tmp_path)
-        self._assert_rejected(path, {"format": "dlde-forest", "version": 1}, "'params'")
+        self._assert_rejected(path, {"format": "dlde-forest", "version": 2}, "'params'")
         del payload["trees"][1]["leaves"][0]["fns"]
         self._assert_rejected(path, payload, "'fns'")
+        path, payload = self._dump(tmp_path)
+        del payload["trees"][1]["leaves"][-1]["depth"]
+        self._assert_rejected(path, payload, "'depth'")
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -303,7 +312,7 @@ class TestSerialization:
             lambda p: p.update(n="10"),
             lambda p: p["params"].update(m=2.0),
             lambda p: p["params"].update(h=3),
-            lambda p: p["trees"][0]["root"].update(end=True),
+            lambda p: p["trees"][1]["leaves"][2].update(depth=True),  # 1 would be valid
             lambda p: p["trees"][0]["leaves"][0].update(fns=[["0.5", 0.1]] * 2),
             lambda p: p["trees"][0]["leaves"][0]["tables"][0][0][0].__setitem__(1, 1.5),
             lambda p: p["trees"][0]["leaves"][0]["tables"][1].pop(),
@@ -316,14 +325,22 @@ class TestSerialization:
         corrupt(payload)
         self._assert_rejected(path, payload, "malformed")
 
-    def test_rejects_leaves_that_differ_from_the_tree(self, tmp_path):
+    def test_rejects_leaves_that_do_not_form_a_tree(self, tmp_path):
         path, payload = self._dump(tmp_path)
-        dropped = payload["trees"][0]["leaves"].pop()
-        self._assert_rejected(path, payload, "leaves")
-        payload["trees"][0]["leaves"].append(dropped)
-        root = payload["trees"][0]["root"]
-        root["left"]["end"] -= 1  # a gap between the children
-        self._assert_rejected(path, payload, "split")
+        payload["trees"][0]["leaves"].pop()
+        self._assert_rejected(path, payload, "malformed")
+        for index in (0, -1):  # a gap before the next leaf; an axis short of d
+            path, payload = self._dump(tmp_path)
+            leaf = payload["trees"][0]["leaves"][index]
+            leaf["end"] -= 1
+            for per_fn in leaf["tables"]:
+                per_fn.pop()
+            self._assert_rejected(path, payload, "tile")
+        path, payload = self._dump(tmp_path)
+        second = payload["trees"][1]["leaves"]
+        assert [leaf["depth"] for leaf in second] == [2, 2, 1]
+        second[1]["depth"], second[2]["depth"] = 1, 2  # the right depths, out of order
+        self._assert_rejected(path, payload, "full binary tree")
 
     def test_rejects_counts_not_summing_to_n(self, tmp_path):
         path, payload = self._dump(tmp_path)

@@ -87,7 +87,6 @@ class TestHashValue:
         assert keys.tolist() == [hash_value(fn, value), 0]
 
     # 1.7e308 is finite but its key overflows to infinity: still a scale problem
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("value", [2.0**62, -(2.0**62 + 1024), 1e19, -1e19, 1e300, 1.7e308])
     def test_keys_beyond_int64_rejected(self, value):
         with pytest.raises(ConfigurationError, match="outside the int64 range.*--normalize"):

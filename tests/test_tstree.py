@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dlde import Segment, build_tstree, leaves
+from dlde.tstree import _is_full_binary
 
 
 class ScriptedRNG:
@@ -18,30 +19,16 @@ class ScriptedRNG:
         return value
 
 
-def _leaf_depths(tree):
-    out = []
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.is_leaf:
-            out.append((node.segment, depth))
-        else:
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-    return out
-
-
 def test_root_split_sends_split_point_right():
     # split at 9 on a 20-point axis: left covers 1..8, right covers 9..20
     tree = build_tstree(1, 20, 1, 3, ScriptedRNG([9]))
-    assert tree.root.split_at == 9
-    assert tree.root.left.segment == Segment(1, 8)
-    assert tree.root.right.segment == Segment(9, 20)
+    assert tree.segments == (Segment(1, 8), Segment(9, 20))
+    assert tree.depths == (1, 1)
 
 
 def test_length_at_slimit_is_leaf():
     tree = build_tstree(1, 3, 10, 3, np.random.default_rng(0))
-    assert tree.root.is_leaf
+    assert tree.depths == (0,)
     assert leaves(tree) == [Segment(1, 3)]
 
 
@@ -52,8 +39,8 @@ def test_hlimit_zero_single_leaf():
 
 def test_length_one_segment_is_leaf():
     tree = build_tstree(5, 5, 10, 1, np.random.default_rng(0))
-    assert tree.root.is_leaf
-    assert tree.root.segment == Segment(5, 5)
+    assert tree.segments == (Segment(5, 5),)
+    assert tree.depths == (0,)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -77,7 +64,7 @@ def test_stop_conditions_and_depth_bound(seed):
     hlimit = int(rng.integers(0, 8))
     slimit = int(rng.integers(1, 5))
     tree = build_tstree(1, d, hlimit, slimit, rng)
-    for segment, depth in _leaf_depths(tree):
+    for segment, depth in zip(tree.segments, tree.depths, strict=True):
         assert depth <= hlimit
         assert segment.length <= slimit or depth == hlimit
 
@@ -91,15 +78,22 @@ def test_deterministic_under_seed():
 
 
 def test_internal_children_non_empty():
+    # leaves are non-empty segments, so every internal node has two
+    # non-empty children exactly when the depths form a full binary tree
     rng = np.random.default_rng(7)
-    tree = build_tstree(1, 50, 6, 1, rng)
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            assert node.start <= node.split_at - 1
-            assert node.split_at <= node.end
-            stack.extend([node.left, node.right])
+    for _ in range(200):
+        tree = build_tstree(1, int(rng.integers(1, 80)), int(rng.integers(0, 9)), 1, rng)
+        assert _is_full_binary(tree.depths)
+
+
+@pytest.mark.parametrize(
+    "depths, full",
+    [((0,), True), ((1, 1), True), ((1, 2, 2), True), ((2, 2, 1), True),
+     ((2, 1, 2), False), ((1,), False), ((0, 0), False), ((1, 1, 1), False),
+     ((), False), ((-1,), False), ((2, 2, 2, 2), True), ((1, 2, 3, 3), True)],
+)
+def test_full_binary_depth_sequences(depths, full):
+    assert _is_full_binary(depths) is full
 
 
 class TestBuildValidation:

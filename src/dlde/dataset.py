@@ -228,8 +228,8 @@ def window_series(series: RawSeries | np.ndarray, s: int) -> LabeledDataset:
 def znormalize(dataset: LabeledDataset) -> LabeledDataset:
     """Rescale each row to zero mean and unit standard deviation.
 
-    Rows with zero variance become all-zero rows.  Idempotent up to
-    floating-point round-off.
+    Constant rows become all-zero rows.  Idempotent up to floating-point
+    round-off.
 
     Raises:
         ConfigurationError: a row's mean or standard deviation overflows
@@ -242,7 +242,8 @@ def znormalize(dataset: LabeledDataset) -> LabeledDataset:
     if not np.isfinite(std).all():  # a non-finite mean makes std non-finite too
         row = int(np.argmin(np.isfinite(std)))
         raise ConfigurationError(f"row {row}: mean or std overflows, so it cannot be z-normalized")
-    flat = std[:, 0] == 0.0
+    # a constant row's mean can round, leaving a std of about 1e-17, not 0
+    flat = x.max(axis=1) == x.min(axis=1)
     safe = np.where(std == 0.0, 1.0, std)
     out = (x - mean) / safe
     out[flat] = 0.0

@@ -12,11 +12,12 @@ inside their leaf neighborhoods.
 
 Scoring is transductive: densities are defined for values of rows that
 were inserted when the tables were built, which guarantees every point
-finds itself (TN is never empty and every density is >= 1).  A point's
-density depends only on its tuple of h bucket keys, so
-:func:`leaf_point_densities` computes it once per distinct tuple in a
-leaf and gathers the result back to the points; :func:`row_densities`
-averages them into subsequence densities for all rows at once.
+finds itself: TN is never empty, and every density is >= h, the point's
+own count under each function.  A point's density depends only on its
+tuple of h bucket keys, so :func:`leaf_point_densities` computes it once
+per distinct tuple in a leaf and gathers the result back to the points;
+:func:`row_densities` averages them into subsequence densities for all
+rows at once.
 """
 
 from __future__ import annotations

@@ -8,26 +8,23 @@ Scores are min-max flipped into anomaly scores in [0, 1] so that the
 most anomalous row gets the highest value.
 
 Scoring is transductive: :func:`score` expects the same dataset the
-forest was fitted on.  A dump keeps each tree as its leaf segments and depths.
+forest was fitted on.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from .dataset import LabeledDataset
 from .density import row_densities
 from .errors import ConfigurationError
-from .hashing import HashFn, LeafTables, build_leaf_tables, sample_hash_fn
+from .hashing import LeafTables, build_leaf_tables, sample_hash_fn
 from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, validate_seed
-from .tstree import Segment, TSTree, _is_full_binary, build_tstree
+from .tstree import Segment, TSTree, build_tstree
 
 __all__ = [
     "ForestParams",
@@ -37,12 +34,7 @@ __all__ = [
     "fit",
     "score",
     "anomaly_scores",
-    "save_forest",
-    "load_forest",
 ]
-
-FOREST_FORMAT = "dlde-forest"
-FOREST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -187,104 +179,3 @@ def anomaly_scores(scores: np.ndarray | list[float]) -> np.ndarray:
     if hi == lo:
         return np.full(s.shape, 0.5)
     return 1.0 - (s - lo) / (hi - lo)
-
-
-def _ints(*values: Any) -> tuple[int, ...]:
-    if not all(type(v) is int for v in values):
-        raise ValueError(f"expected integers, got {values!r}")
-    return values
-
-
-def _leaf_from_obj(leaf: dict[str, Any], n: int, h: int) -> LeafTables:
-    """Array tables of one dumped leaf; its columns hold [key, count] pairs."""
-    segment = Segment(*_ints(leaf["start"], leaf["end"]))
-    fns = tuple(HashFn(width=w, offset=o) for w, o in leaf["fns"])
-    if not len(fns) == len(leaf["tables"]) == h:
-        raise ValueError(f"{segment} needs h={h} hash functions and tables")
-    keys, counts = [], []
-    for per_fn in leaf["tables"]:
-        pairs = [np.asarray(column) for column in per_fn]
-        if len(pairs) != segment.length or any(
-            p.dtype.kind != "i" or p.shape[1:] != (2,) for p in pairs
-        ):
-            raise ValueError(f"{segment} needs {segment.length} lists of [key, count] per fn")
-        union = np.unique(np.concatenate([p[:, 0] for p in pairs]))
-        matrix = np.zeros((union.size, segment.length), dtype=np.int64)
-        for c, p in enumerate(pairs):
-            matrix[np.searchsorted(union, p[:, 0]), c] = p[:, 1]
-        if np.any(matrix < 0) or np.any(matrix.sum(axis=0) != n):
-            raise ValueError(f"counts of {segment} must be >= 0 and sum to n={n} per column")
-        keys.append(union)
-        counts.append(matrix)
-    return LeafTables(segment, fns, tuple(keys), tuple(counts), n_rows=n)
-
-
-def save_forest(forest: TSForest, path: str | Path) -> None:
-    """Dump a fitted forest to a versioned JSON file.
-
-    The format (documented in the README) stores every leaf with its depth,
-    hash parameters and count tables, and round-trips exactly; it is not
-    guaranteed stable across package versions.
-    """
-    payload: dict[str, Any] = {
-        "format": FOREST_FORMAT,
-        "version": FOREST_VERSION,
-        "params": vars(forest.params).copy(),
-        "n": forest.n,
-        "d": forest.d,
-        "trees": [],
-    }
-    for model in forest.trees:
-        entry: dict[str, Any] = {"leaves": []}
-        for segment, depth in zip(model.tree.segments, model.tree.depths):
-            tables = model.leaf_tables[segment]
-            entry["leaves"].append(
-                {
-                    "start": segment.start,
-                    "end": segment.end,
-                    "depth": depth,
-                    "fns": [[fn.width, fn.offset] for fn in tables.fns],
-                    "tables": [
-                        [list(zip(keys[c > 0].tolist(), c[c > 0].tolist())) for c in matrix.T]
-                        for keys, matrix in zip(tables.keys, tables.counts)
-                    ],
-                }
-            )
-        payload["trees"].append(entry)
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_forest(path: str | Path) -> TSForest:
-    """Load a forest previously written by :func:`save_forest`.
-
-    Raises:
-        ValueError: the file is not a forest dump, has an unsupported
-            version, or is malformed: a field is missing or mistyped, a
-            tree's leaves do not tile 1..d or their depths do not form a
-            full binary tree, or a table's counts do not sum to n.
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or payload.get("format") != FOREST_FORMAT:
-        raise ValueError(f"{path}: not a {FOREST_FORMAT} file")
-    if payload.get("version") != FOREST_VERSION:
-        raise ValueError(f"{path}: unsupported version {payload.get('version')!r}")
-    try:
-        params = ForestParams(**payload["params"])
-        _ints(*vars(params).values())
-        n, d = _ints(payload["n"], payload["d"])
-        if len(payload["trees"]) != params.m:
-            raise ValueError(f"{len(payload['trees'])} trees stored for m={params.m}")
-        trees = []
-        for entry in payload["trees"]:
-            tables = [_leaf_from_obj(leaf, n, params.h) for leaf in entry["leaves"]]
-            segments = tuple(t.segment for t in tables)
-            bounds = [1] + [s.end + 1 for s in segments]
-            if [s.start for s in segments] != bounds[:-1] or bounds[-1] != d + 1:
-                raise ValueError(f"leaves {segments} do not tile 1..{d}")
-            depths = _ints(*(leaf["depth"] for leaf in entry["leaves"]))
-            if not _is_full_binary(depths):
-                raise ValueError(f"leaf depths {depths} are not those of a full binary tree")
-            trees.append(TreeModel(TSTree(segments, depths), {t.segment: t for t in tables}))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed forest dump: {type(exc).__name__}: {exc}") from exc
-    return TSForest(trees=tuple(trees), params=params, n=n, d=d)

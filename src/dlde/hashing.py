@@ -123,26 +123,14 @@ class LeafTables:
     ``keys[j]`` is the sorted int64 vector of every key that hash function
     ``j`` produces anywhere in the segment; ``counts[j][u, c]`` is how many
     rows put ``keys[j][u]`` at column ``c`` (0-based within the segment),
-    zero where the key does not occur.  Every column sums to ``n_rows``.
+    zero where the key does not occur.  Every column sums to the number
+    of rows the tables were built from.
     """
 
     segment: Segment
     fns: tuple[HashFn, ...]
     keys: tuple[np.ndarray, ...]
     counts: tuple[np.ndarray, ...]
-    n_rows: int
-
-    @property
-    def h(self) -> int:
-        return len(self.fns)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LeafTables):
-            return NotImplemented
-        mine, theirs = self.keys + self.counts, other.keys + other.counts
-        return (self.segment, self.fns, self.n_rows, len(mine)) == (
-            other.segment, other.fns, other.n_rows, len(theirs)
-        ) and all(map(np.array_equal, mine, theirs))
 
 
 def build_leaf_tables(
@@ -174,4 +162,4 @@ def build_leaf_tables(
         used = matrix.any(axis=1)
         all_keys.append(values[used])
         all_counts.append(matrix[used])
-    return LeafTables(segment, tuple(fns), tuple(all_keys), tuple(all_counts), dataset.n)
+    return LeafTables(segment, tuple(fns), tuple(all_keys), tuple(all_counts))

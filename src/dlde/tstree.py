@@ -55,18 +55,6 @@ class TSTree:
         return self.segments[-1].end
 
 
-def _is_full_binary(depths: tuple[int, ...]) -> bool:
-    """Whether leaf depths, left to right, are those of a full binary tree:
-    adjacent siblings (equal depths) merge into their parent until the root."""
-    stack: list[int] = []
-    for depth in depths:
-        while stack and stack[-1] == depth:
-            stack.pop()
-            depth -= 1
-        stack.append(depth)
-    return stack == [0]
-
-
 def build_tstree(
     t_start: int,
     t_end: int,

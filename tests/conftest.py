@@ -25,6 +25,27 @@ def random_dataset(
     return LabeledDataset(x, labels)
 
 
+def tree_model_state(model) -> tuple:
+    """Everything a fitted tree holds, as a value that compares exactly.
+
+    Segments, depths, and per leaf its hash functions and the dtype, shape
+    and bytes of every key vector and count matrix.
+    """
+
+    def exact(array: np.ndarray) -> tuple:
+        return array.dtype.str, array.shape, array.tobytes()
+
+    return (
+        model.tree.segments,
+        model.tree.depths,
+        tuple(
+            (segment, tables.segment, tables.fns,
+             tuple(map(exact, tables.keys)), tuple(map(exact, tables.counts)))
+            for segment, tables in model.leaf_tables.items()
+        ),
+    )
+
+
 @st.composite
 def matrices(draw, min_rows: int = 5, max_rows: int = 14, max_cols: int = 14) -> np.ndarray:
     """Seeded Gaussian (N, d) matrices on the unit scale or an ADC-like scale.

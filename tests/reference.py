@@ -16,6 +16,18 @@ from dlde.forest import TSForest
 from dlde.tstree import Segment, TSTree, leaves
 
 
+def is_full_binary(depths: tuple[int, ...]) -> bool:
+    """Whether leaf depths, left to right, are those of a full binary tree:
+    adjacent siblings (equal depths) merge into their parent until the root."""
+    stack: list[int] = []
+    for depth in depths:
+        while stack and stack[-1] == depth:
+            stack.pop()
+            depth -= 1
+        stack.append(depth)
+    return stack == [0]
+
+
 def hash_value(fn, value: float) -> int:
     """Bucket key of one sample value, as an exact Python int."""
     return math.floor((value + fn.offset) / fn.width)

@@ -30,9 +30,7 @@ from dlde import (
     MetricError,
     anomaly_scores,
     auc,
-    build_tstree,
     fit,
-    leaves,
     parse_labeled_file,
     run_experiment,
     score,
@@ -40,10 +38,10 @@ from dlde import (
     window_series,
 )
 from dlde.density import row_densities
-from dlde.tstree import _is_full_binary
+from dlde.tstree import build_tstree, leaves
 
 from conftest import heartbeat_series, random_dataset
-from reference import forest_scores, tree_row_densities
+from reference import forest_scores, is_full_binary, tree_row_densities
 
 DATA_DIR = Path(os.environ.get("DLDE_DATA_DIR", Path(__file__).resolve().parents[1] / "data"))
 
@@ -131,7 +129,7 @@ def test_criterion_2_structural_invariants():
         for a, b in zip(segs, segs[1:]):
             assert b.start == a.end + 1
 
-        assert _is_full_binary(tree.depths)
+        assert is_full_binary(tree.depths)
         for segment, depth in zip(tree.segments, tree.depths, strict=True):
             assert depth <= hlimit
             assert segment.length <= slimit or depth == hlimit

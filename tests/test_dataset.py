@@ -170,9 +170,11 @@ class TestWindowSeries:
 
 class TestZnormalize:
     def test_constant_row_becomes_zero(self):
-        ds = LabeledDataset([[1.0, 1.0, 1.0, 1.0]], [0])
-        out = znormalize(ds)
-        np.testing.assert_array_equal(out.subsequences[0], [0, 0, 0, 0])
+        # most of these rows have a rounded mean, so their std is about 1e-17, not 0
+        values = np.array([1.0, 0.1, 0.3, 123.456, 2048.7])
+        for d in (4, 6, 7, 13, 100):
+            ds = LabeledDataset(np.repeat(values[:, None], d, axis=1), np.zeros(values.size, int))
+            np.testing.assert_array_equal(znormalize(ds).subsequences, 0.0, err_msg=f"d={d}")
 
     def test_known_row(self):
         ds = LabeledDataset([[0.0, 0.0, 2.0, 2.0]], [0])

@@ -1,23 +1,18 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import dlde
-from dlde import (
-    HashFn,
-    LabeledDataset,
-    Segment,
-    build_leaf_tables,
-    build_tstree,
-    fit,
-    hash_keys,
-    leaf_point_densities,
-    leaves,
-    row_densities,
-)
+from dlde import LabeledDataset, fit
+from dlde.density import leaf_point_densities, row_densities
+from dlde.hashing import HashFn, build_leaf_tables, hash_keys
+from dlde.tstree import Segment, build_tstree, leaves
 
 from conftest import matrices
 from reference import tree_point_densities
@@ -54,14 +49,36 @@ HAND_DATASET = LabeledDataset(
 )
 
 
+PUBLIC_API = {
+    "LabeledDataset", "RawSeries", "parse_labeled_file", "parse_raw_series",
+    "window_series", "write_labeled_file", "znormalize",
+    "fit", "score", "anomaly_scores", "ScoreVector", "TSForest", "ForestParams",
+    "auc", "ExperimentConfig", "ExperimentReport", "run_experiment", "sweep",
+    "DldeError", "InputFormatError", "EmptyInputError", "ConfigurationError", "MetricError",
+    "__version__",
+}
+
+
 def test_per_point_path_not_exported():
     removed = ["similar_time_points", "true_similar_set", "point_density",
-               "subsequence_density", "locate_leaf", "hash_value", "TSTreeNode"]
+               "subsequence_density", "locate_leaf", "hash_value", "TSTreeNode",
+               "save_forest", "load_forest"]
     assert [name for name in removed if hasattr(dlde, name)] == []
-    assert len(dlde.__all__) == 38
-    assert {"leaf_point_densities", "leaves", "fit", "score", "LabeledDataset"} <= set(
-        dlde.__all__
-    )
+    assert len(dlde.__all__) == 24
+    assert set(dlde.__all__) == PUBLIC_API
+    assert {"save_forest", "load_forest", "TreeModel"}.isdisjoint(dlde.__all__)
+    # not exported, but still read as dlde.<name> by the benchmark's oracle check
+    assert dlde.leaves is leaves
+    assert dlde.leaf_point_densities is leaf_point_densities
+
+
+def test_readme_names_are_exported():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    used = set(re.findall(r"\bdlde\.(\w+)", "".join(blocks)))
+    assert {"fit", "score", "parse_labeled_file", "window_series"} <= used
+    assert sorted(used - set(dlde.__all__)) == []
+    assert [name for name in dlde.__all__ if not hasattr(dlde, name)] == []
 
 
 class TestSimilarTimePoints:

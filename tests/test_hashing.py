@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dlde import (
-    ConfigurationError,
-    HashFn,
-    LabeledDataset,
-    Segment,
-    build_leaf_tables,
-    hash_keys,
-    sample_hash_fn,
-)
+from dlde import ConfigurationError, LabeledDataset
+from dlde.hashing import HashFn, build_leaf_tables, hash_keys, sample_hash_fn
+from dlde.tstree import Segment
 
 from reference import hash_value
 

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dlde import Segment, build_tstree, leaves
-from dlde.tstree import _is_full_binary
+from dlde.tstree import Segment, build_tstree, leaves
+
+from reference import is_full_binary
 
 
 class ScriptedRNG:
@@ -83,7 +84,7 @@ def test_internal_children_non_empty():
     rng = np.random.default_rng(7)
     for _ in range(200):
         tree = build_tstree(1, int(rng.integers(1, 80)), int(rng.integers(0, 9)), 1, rng)
-        assert _is_full_binary(tree.depths)
+        assert is_full_binary(tree.depths)
 
 
 @pytest.mark.parametrize(
@@ -93,7 +94,7 @@ def test_internal_children_non_empty():
      ((), False), ((-1,), False), ((2, 2, 2, 2), True), ((1, 2, 3, 3), True)],
 )
 def test_full_binary_depth_sequences(depths, full):
-    assert _is_full_binary(depths) is full
+    assert is_full_binary(depths) is full
 
 
 class TestBuildValidation:

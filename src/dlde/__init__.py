@@ -2,8 +2,8 @@
 
 Subsequences are scored by how densely their values are matched, column
 by column, inside randomly chosen contiguous time segments: an ensemble
-of random time-split trees partitions the time axis, every leaf keeps
-randomized bucket count tables over all subsequences, and a row's score
+of random time-split trees partitions the time axis, every leaf counts
+randomized bucket keys over all subsequences, and a row's score
 is its mean bucket-count density across trees.  Rows with unusually low
 density are anomalies.
 """

@@ -244,8 +244,13 @@ def znormalize(dataset: LabeledDataset) -> LabeledDataset:
         raise ConfigurationError(f"row {row}: mean or std overflows, so it cannot be z-normalized")
     # a constant row's mean can round, leaving a std of about 1e-17, not 0
     flat = x.max(axis=1) == x.min(axis=1)
-    safe = np.where(std == 0.0, 1.0, std)
-    out = (x - mean) / safe
+    out = x - mean
+    # deviations below about 1e-154 square to a variance that underflows to
+    # 0: scale such a row's deviations to a largest of 1 before its std
+    tiny = (std[:, 0] == 0.0) & ~flat
+    out[tiny] /= np.abs(out[tiny]).max(axis=1, keepdims=True)
+    std[tiny] = out[tiny].std(axis=1, keepdims=True)
+    out /= np.where(std == 0.0, 1.0, std)
     out[flat] = 0.0
     return LabeledDataset(out, dataset.labels)
 

@@ -1,18 +1,20 @@
 """Ensembles of time-split trees and the final anomaly scores.
 
 A forest holds ``m`` independently randomized trees, each with its own
-per-leaf bucket count tables over the fitted dataset.  A subsequence's
-score is its mean density across trees; low scores mark rows that are
-rarely matched inside their leaf neighborhoods, i.e. likely anomalies.
-Scores are min-max flipped into anomaly scores in [0, 1] so that the
-most anomalous row gets the highest value.
+bucketing functions per leaf.  A subsequence's score is its mean density
+across trees; low scores mark rows that are rarely matched inside their
+leaf neighborhoods, i.e. likely anomalies.  Scores are min-max flipped
+into anomaly scores in [0, 1] so that the most anomalous row gets the
+highest value.
 
-Scoring is transductive: :func:`score` expects the same dataset the
-forest was fitted on.
+Scoring is transductive: the bucket counts are taken over the scored
+matrix itself, so :func:`score` accepts only the matrix the forest was
+fitted on, recognized by the sha256 of its bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -60,6 +62,7 @@ class TSForest:
     params: ForestParams
     n: int
     d: int
+    digest: str  # sha256 of the fitted matrix's bytes
 
 
 @dataclass(frozen=True)
@@ -90,13 +93,13 @@ def fit(
     hlimit: int | None = None,
     seed: int = 0,
 ) -> TSForest:
-    """Build ``m`` random trees with ``h`` bucket tables per leaf.
+    """Build ``m`` random trees with ``h`` hash functions per leaf.
 
     Args:
         dataset: Rows to index; at least 5 are required for hash-width
             sampling.
         m: Number of trees.
-        h: Number of hash functions (and tables) per leaf.
+        h: Number of hash functions per leaf.
         slimit: Leaf length threshold for tree growth.
         hlimit: Depth cap; ``None`` resolves to floor(log2(d)).
         seed: Root of all randomness.  Every tree and every leaf draws
@@ -133,14 +136,15 @@ def fit(
         trees.append(TreeModel(tree=tree, leaf_tables=tables))
 
     params = ForestParams(m=m, h=h, slimit=slimit, hlimit=resolved_hlimit, seed=seed)
-    return TSForest(trees=tuple(trees), params=params, n=dataset.n, d=dataset.d)
+    return TSForest(trees=tuple(trees), params=params, n=dataset.n, d=dataset.d,
+                    digest=_digest(dataset))
 
 
 def score(forest: TSForest, dataset: LabeledDataset) -> ScoreVector:
     """Ensemble densities and anomaly scores for the fitted dataset.
 
     Raises:
-        ValueError: dataset shape differs from the fitted (N, d).
+        ValueError: dataset is not the fitted one.
     """
     *_, acc = _tree_sums(forest, dataset)
     scores = acc / forest.params.m
@@ -157,11 +161,20 @@ def _tree_sums(forest: TSForest, dataset: LabeledDataset) -> Iterator[np.ndarray
             f"dataset shape ({dataset.n}, {dataset.d}) does not match fitted "
             f"({forest.n}, {forest.d})"
         )
+    if _digest(dataset) != forest.digest:
+        raise ValueError(
+            "dataset differs from the one the forest was fitted on; "
+            "scores are only defined transductively"
+        )
     x = dataset.subsequences
     acc = np.zeros(dataset.n)
     for model in forest.trees:
         acc += row_densities(x, model.tree, model.leaf_tables)
         yield acc
+
+
+def _digest(dataset: LabeledDataset) -> str:
+    return hashlib.sha256(dataset.subsequences).hexdigest()
 
 
 def anomaly_scores(scores: np.ndarray | list[float]) -> np.ndarray:

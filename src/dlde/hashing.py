@@ -1,4 +1,4 @@
-"""Randomized scalar bucketing and per-leaf hash count tables.
+"""Randomized scalar bucketing and the hash functions of each leaf.
 
 Two sample values are considered similar when they fall into the same
 bucket of ``floor((value + offset) / width)``.  The bucket width is drawn
@@ -9,13 +9,10 @@ would leave that range is rejected with a :class:`ConfigurationError`.
 No arithmetic on keys can overflow inside that range: scoring combines
 key digits (see :func:`key_digits`), not keys.
 
-For every leaf segment of a tree, each of ``h`` independently sampled
-bucketing functions maps each time column to the number of subsequences
-whose value at that column lands in each bucket.  The tables are stored
-as arrays only: per function, the sorted union of keys seen anywhere in
-the segment and a (keys, columns) count matrix.  All N rows are
-inserted, including any row later scored, so a stored value always finds
-at least its own count.
+A leaf segment of a tree keeps only its ``h`` independently sampled
+bucketing functions.  The counts they induce (how many subsequences put
+each bucket key at each time column) are built where densities are read,
+from the matrix being scored (see :mod:`dlde.density`).
 """
 
 from __future__ import annotations
@@ -118,25 +115,19 @@ def key_digits(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class LeafTables:
-    """Bucket count tables for one leaf segment.
-
-    ``keys[j]`` is the sorted int64 vector of every key that hash function
-    ``j`` produces anywhere in the segment; ``counts[j][u, c]`` is how many
-    rows put ``keys[j][u]`` at column ``c`` (0-based within the segment),
-    zero where the key does not occur.  Every column sums to the number
-    of rows the tables were built from.
-    """
+    """A leaf segment and the bucketing functions its counts are taken under."""
 
     segment: Segment
     fns: tuple[HashFn, ...]
-    keys: tuple[np.ndarray, ...]
-    counts: tuple[np.ndarray, ...]
 
 
 def build_leaf_tables(
     dataset: LabeledDataset, segment: Segment, fns: tuple[HashFn, ...] | list[HashFn]
 ) -> LeafTables:
-    """Insert every subsequence's values over ``segment`` into count tables.
+    """Check that every key of ``dataset`` over ``segment`` fits int64.
+
+    Keys are monotone in the value, so hashing the block's smallest and
+    largest value checks every key.
 
     Raises:
         ValueError: segment out of the dataset's 1..d range, or no hash
@@ -150,16 +141,7 @@ def build_leaf_tables(
     if len(fns) < 1:
         raise ValueError("at least one hash function is required")
     block = dataset.subsequences[:, segment.columns]
-    length = segment.length
-    all_keys, all_counts = [], []
+    ends = np.array([block.min(), block.max()])
     for fn in fns:
-        # one pass: per-value-per-column occurrence counts over the segment,
-        # then only the values that occur
-        values, digit = key_digits(hash_keys(fn, block).ravel())
-        flat = digit.reshape(block.shape) * length + np.arange(length)
-        matrix = np.bincount(flat.ravel(), minlength=values.size * length)
-        matrix = matrix.reshape(values.size, length)
-        used = matrix.any(axis=1)
-        all_keys.append(values[used])
-        all_counts.append(matrix[used])
-    return LeafTables(segment, tuple(fns), tuple(all_keys), tuple(all_counts))
+        hash_keys(fn, ends)
+    return LeafTables(segment, tuple(fns))

@@ -28,19 +28,13 @@ def random_dataset(
 def tree_model_state(model) -> tuple:
     """Everything a fitted tree holds, as a value that compares exactly.
 
-    Segments, depths, and per leaf its hash functions and the dtype, shape
-    and bytes of every key vector and count matrix.
+    Segments, depths, and per leaf its segment and hash functions.
     """
-
-    def exact(array: np.ndarray) -> tuple:
-        return array.dtype.str, array.shape, array.tobytes()
-
     return (
         model.tree.segments,
         model.tree.depths,
         tuple(
-            (segment, tables.segment, tables.fns,
-             tuple(map(exact, tables.keys)), tuple(map(exact, tables.counts)))
+            (segment, tables.segment, tables.fns)
             for segment, tables in model.leaf_tables.items()
         ),
     )

@@ -208,6 +208,13 @@ class TestZnormalize:
         with pytest.raises(ConfigurationError, match="row 1: mean or std overflows"):
             znormalize(ds)
 
+    def test_tiny_deviations_scaled_to_unit_std(self):
+        # the variance of these rows underflows to 0.0; they used to come
+        # out unscaled, as +-5e-321 and +-5e-301
+        ds = LabeledDataset([[0, 1e-320, 0, 1e-320], [0, 1e-300, 0, 1e-300]], [0, 0])
+        out = znormalize(ds).subsequences
+        np.testing.assert_allclose(out, [[-1, 1, -1, 1]] * 2, rtol=1e-12)
+
     def test_large_finite_row_normalized(self):
         out = znormalize(LabeledDataset([[1e150, 0, 0, 0, 0, 0]], [0])).subsequences[0]
         np.testing.assert_allclose(out, [5 / np.sqrt(5)] + [-1 / np.sqrt(5)] * 5, rtol=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dlde
-from dlde import LabeledDataset, fit
+from dlde import LabeledDataset, fit, score
 from dlde.density import leaf_point_densities, row_densities
 from dlde.hashing import HashFn, build_leaf_tables, hash_keys
 from dlde.tstree import Segment, build_tstree, leaves
@@ -96,13 +96,14 @@ class TestSimilarTimePoints:
         assert got.tolist() == [[1.0, 3.0], [2.0, 3.0], [2.0, 3.0]]
 
     def test_far_away_query_empty(self):
-        # a value no stored value is near has no similar time points
+        # a value no fitted value is near has no similar time points among
+        # the fitted rows; scoring it is refused, not answered by its own count
         ds = _identical_rows(6, 5)
-        tables = build_leaf_tables(ds, Segment(1, 5), [HashFn(0.5, 0.1)])
+        forest = fit(ds, m=1, h=1, hlimit=0, seed=0)
         x = ds.subsequences.copy()
         x[2, 3] = 1e6
-        with pytest.raises(ValueError, match="not built from"):
-            leaf_point_densities(x, tables)
+        with pytest.raises(ValueError, match="fitted on"):
+            score(forest, LabeledDataset(x, ds.labels))
 
 
 class TestTrueSimilarSet:
@@ -171,11 +172,11 @@ class TestPointDensity:
 
     def test_unseen_value_rejected(self):
         ds = _identical_rows(5, 4)
-        tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
+        forest = fit(ds, m=2, h=1, seed=0)
         x = ds.subsequences.copy()
         x[0, 0] = 1e6
-        with pytest.raises(ValueError, match="not built from"):
-            row_densities(x, tree, tables)
+        with pytest.raises(ValueError, match="fitted on"):
+            score(forest, LabeledDataset(x, ds.labels))
 
     @given(x=matrices(min_rows=1), fns=st.lists(hash_fns, min_size=1, max_size=4), data=st.data())
     def test_duplicating_a_row_never_lowers_its_density(self, x, fns, data):
@@ -291,12 +292,13 @@ class TestOracleEquivalence:
         self._assert_leaves_match_bruteforce(ds.subsequences, model)
 
     def test_matrix_not_built_from_rejected(self):
-        ds = LabeledDataset([[0.1, 0.55, 0.1, 0.55]], [0])
-        tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0), HashFn(0.3, 0.0)])
-        # a key that no table holds
-        with pytest.raises(ValueError, match="not built from"):
-            leaf_point_densities(ds.subsequences + 100.0, tables)
-        # 0.4 shares its first key with column 1 only and its second key
-        # with column 2 only, so its similarity set is empty
-        with pytest.raises(ValueError, match="not built from"):
-            leaf_point_densities(np.array([[0.4, 0.55, 0.1, 0.55]]), tables)
+        ds = LabeledDataset(np.tile([0.1, 0.55, 0.1, 0.55], (5, 1)), np.zeros(5, int))
+        forest = fit(ds, m=1, h=2, seed=0)
+        # every key shifted away from the fitted ones
+        with pytest.raises(ValueError, match="fitted on"):
+            score(forest, LabeledDataset(ds.subsequences + 100.0, ds.labels))
+        # one value moved by 1e-12: another matrix of the same shape
+        x = ds.subsequences.copy()
+        x[4, 0] = 0.1 + 1e-12
+        with pytest.raises(ValueError, match="fitted on"):
+            score(forest, LabeledDataset(x, ds.labels))

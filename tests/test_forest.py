@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dlde.density
+import dlde.hashing
 from dlde import ConfigurationError, LabeledDataset, anomaly_scores, fit, score
 from dlde.density import leaf_point_densities
 from dlde.forest import _tree_sums
+from dlde.hashing import hash_keys
 from dlde.tstree import Segment, leaves
 
 from conftest import matrices, random_dataset, tree_model_state
@@ -38,11 +41,31 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(1), 9, 16)
         forest = fit(ds, m=3, h=4, seed=7)
         for model in forest.trees:
-            assert set(model.leaf_tables) == set(leaves(model.tree))
-            for tables in model.leaf_tables.values():
-                assert len(tables.fns) == len(tables.keys) == len(tables.counts) == 4
-                for counts in tables.counts:
-                    assert np.all(counts.sum(axis=0) == 9)
+            assert list(model.leaf_tables) == leaves(model.tree)
+            covered = []
+            for segment, tables in model.leaf_tables.items():
+                assert tables.segment == segment and len(tables.fns) == 4
+                covered += range(16)[segment.columns]
+            assert covered == list(range(16))
+
+    def test_each_leaf_block_hashed_once(self, monkeypatch):
+        # fit checks the key range from each block's extremes (2 values) and
+        # score hashes every (leaf, function) block once, counting as it reads
+        sizes = []
+
+        def counting(fn, values):
+            sizes.append(np.size(values))
+            return hash_keys(fn, values)
+
+        monkeypatch.setattr(dlde.hashing, "hash_keys", counting)
+        monkeypatch.setattr(dlde.density, "hash_keys", counting)
+        ds = random_dataset(np.random.default_rng(1), 9, 16)
+        forest = fit(ds, m=3, h=4, seed=7)
+        assert [size for size in sizes if size > 2] == []
+        score(forest, ds)
+        blocks = sorted(9 * seg.length for model in forest.trees
+                        for seg in model.tree.segments for _ in range(4))
+        assert sorted(size for size in sizes if size > 2) == blocks
 
     def test_too_small_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(2), 4, 8)
@@ -142,6 +165,17 @@ class TestScore:
         forest = fit(ds, m=1, seed=0)
         with pytest.raises(ValueError, match="does not match fitted"):
             score(forest, other)
+
+    def test_other_matrix_of_same_shape_rejected(self):
+        # densities are counted over the scored matrix itself, so a matrix the
+        # forest was not fitted on would score without a word; it is refused
+        ds = random_dataset(np.random.default_rng(8), 10, 12)
+        forest = fit(ds, m=2, seed=0)
+        nudged = LabeledDataset(ds.subsequences + 1e-12, ds.labels)
+        with pytest.raises(ValueError, match="fitted on"):
+            score(forest, nudged)
+        copy = LabeledDataset(ds.subsequences.copy(), ds.labels)
+        assert score(forest, copy).scores.tobytes() == score(forest, ds).scores.tobytes()
 
     # hash widths depend only on N and trees only on d, and tables are
     # counts, so reordering the rows reorders the scores bit for bit

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dlde import ConfigurationError, LabeledDataset
+from dlde.density import leaf_point_densities
 from dlde.hashing import HashFn, build_leaf_tables, hash_keys, sample_hash_fn
 from dlde.tstree import Segment
 
@@ -109,70 +110,83 @@ def _identical_rows(n: int, d: int) -> LabeledDataset:
     return LabeledDataset(np.tile(np.linspace(0, 1, d), (n, 1)), np.zeros(n, int))
 
 
+def _column_counts(ds: LabeledDataset, t: int, fn: HashFn) -> np.ndarray:
+    """Each row's density in a one-column leaf at ``t`` under ``fn`` alone.
+
+    That is the number of rows whose key at ``t`` equals its own.
+    """
+    tables = build_leaf_tables(ds, Segment(t, t), [fn])
+    return leaf_point_densities(ds.subsequences, tables)[:, 0]
+
+
 class TestBuildLeafTables:
+    # Counts are taken where densities are read; these tests observe them
+    # through densities.
     def test_identical_rows_collapse_to_one_key(self):
+        # one key per column under each function: every row counts all 8
+        # rows in every column of the segment, under both functions
         ds = _identical_rows(8, 6)
-        fns = [HashFn(0.5, 0.1), HashFn(0.3, 0.2)]
-        tables = build_leaf_tables(ds, Segment(2, 5), fns)
-        for matrix in tables.counts:
-            assert np.count_nonzero(matrix, axis=0).tolist() == [1, 1, 1, 1]
-            assert matrix.max(axis=0).tolist() == [8, 8, 8, 8]
+        tables = build_leaf_tables(ds, Segment(2, 5), [HashFn(0.5, 0.1), HashFn(0.3, 0.2)])
+        np.testing.assert_array_equal(leaf_point_densities(ds.subsequences, tables), 2 * 8.0)
 
     def test_single_row(self):
         ds = LabeledDataset([[0.1, 0.2, 0.3, 0.4]], [0])
         tables = build_leaf_tables(ds, Segment(1, 4), [HashFn(0.5, 0.0)])
-        matrix = tables.counts[0]
-        assert np.count_nonzero(matrix, axis=0).tolist() == [1, 1, 1, 1]
-        assert matrix.sum(axis=0).tolist() == [1, 1, 1, 1]
-
-    def test_hand_enumerated_counts(self):
-        # column 1 values 0.1, 0.6, 0.7 under floor(v / 0.5): keys 0, 1, 1
-        ds = LabeledDataset(
-            [
-                [0.1, 1.0, 2.0, 3.0],
-                [0.6, 1.0, 2.0, 3.0],
-                [0.7, 1.0, 2.0, 3.0],
-            ],
-            [0, 0, 0],
-        )
-        tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0)])
-        assert tables.keys[0].tolist() == [0, 1, 2]
-        assert tables.counts[0].tolist() == [[1, 0], [2, 0], [0, 3]]
+        np.testing.assert_array_equal(leaf_point_densities(ds.subsequences, tables), 1.0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_column_mass_is_row_count(self, seed):
+        # one count per distinct key of a column sums to N
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(2, 30)), int(rng.integers(4, 12))
         ds = LabeledDataset(rng.normal(size=(n, d)), np.zeros(n, int))
-        fns = [HashFn(float(w), float(w) / 3) for w in rng.uniform(0.1, 0.9, size=3)]
-        start = int(rng.integers(1, d))
-        end = int(rng.integers(start, d + 1))
-        tables = build_leaf_tables(ds, Segment(start, end), fns)
-        for keys, matrix in zip(tables.keys, tables.counts):
-            assert matrix.dtype == np.int64
-            assert matrix.sum(axis=0).tolist() == [n] * tables.segment.length
-            assert matrix.min() >= 0 and np.all(matrix.max(axis=1) >= 1)  # no unused key
-            assert np.all(np.diff(keys) > 0)
+        for w in rng.uniform(0.1, 0.9, size=3):
+            fn = HashFn(float(w), float(w) / 3)
+            for t in range(1, d + 1):
+                keys = hash_keys(fn, ds.subsequences[:, t - 1])
+                _, first = np.unique(keys, return_index=True)
+                assert _column_counts(ds, t, fn)[first].sum() == n
 
     def test_count_matrix_matches_bruteforce(self):
         rng = np.random.default_rng(42)
         ds = LabeledDataset(rng.normal(size=(12, 8)), np.zeros(12, int))
-        fns = [HashFn(0.4, 0.1), HashFn(0.6, 0.0)]
-        tables = build_leaf_tables(ds, Segment(3, 7), fns)
         rows = ds.subsequences.tolist()
-        for fn, keys, matrix in zip(fns, tables.keys, tables.counts):
-            for c, t in enumerate(range(3, 8)):
+        for fn in [HashFn(0.4, 0.1), HashFn(0.6, 0.0)]:
+            for t in range(3, 8):
                 column_keys = [hash_value(fn, row[t - 1]) for row in rows]
-                assert sorted(set(column_keys)) == keys[matrix[:, c] > 0].tolist()
-                for key, count in zip(keys.tolist(), matrix[:, c].tolist()):
-                    assert column_keys.count(key) == count
+                expected = [column_keys.count(key) for key in column_keys]
+                assert _column_counts(ds, t, fn).tolist() == expected
+
+    def test_hand_enumerated_counts(self):
+        # keys (w 0.5 | w 0.25, offset 0.125) of the segment's two columns:
+        #   column 1: 0.1 -> (0, 0), 0.6 -> (1, 2), 0.7 -> (1, 3)
+        #   column 2: 0.9 -> (1, 4), 0.9 -> (1, 4), 0.6 -> (1, 2)
+        # 0.9 shares its first key with column 1 but not its second, so its
+        # similarity set is column 2 alone: 3 + 2.  0.6 matches both columns:
+        # (2 + 1 + 3 + 1) / 2.
+        ds = LabeledDataset(
+            [
+                [0.1, 0.9, 2.0, 3.0],
+                [0.6, 0.9, 2.0, 3.0],
+                [0.7, 0.6, 2.0, 3.0],
+            ],
+            [0, 0, 0],
+        )
+        tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0), HashFn(0.25, 0.125)])
+        got = leaf_point_densities(ds.subsequences, tables)
+        assert got.tolist() == [[2.0, 5.0], [3.5, 5.0], [3.0, 3.5]]
 
     def test_keys_beyond_int64_rejected(self):
         ds = LabeledDataset([[0.1, 0.2, 2.0**62, 0.3]], [0])
         with pytest.raises(ConfigurationError, match="--normalize"):
             build_leaf_tables(ds, Segment(2, 4), [HashFn(0.5, 0.0)])
-        tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0)])
-        assert tables.keys[0].tolist() == [0]
+        build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0)])
+        # the block minimum overflows under width 0.25 (key -2**64); under
+        # width 0.5 its key is -2**63, the smallest int64, and is admitted
+        low = LabeledDataset([[0.1, -(2.0**62), 0.2, 0.3]], [0])
+        with pytest.raises(ConfigurationError, match="--normalize"):
+            build_leaf_tables(low, Segment(1, 3), [HashFn(0.5, 0.0), HashFn(0.25, 0.0)])
+        build_leaf_tables(low, Segment(1, 3), [HashFn(0.5, 0.0)])
 
     def test_segment_outside_axis_rejected(self):
         ds = _identical_rows(5, 6)

@@ -8,6 +8,7 @@ fixed-length windows with :func:`window_series`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,8 +121,19 @@ def _parse_field(raw: str, lineno: int, column: int) -> float:
     return value
 
 
+def _finite_floats(fields: list[str]) -> list[float] | None:
+    """One line's fields as floats in one batched conversion, or ``None``
+    when any is non-numeric or non-finite; the caller then walks the line
+    with :func:`_parse_field` so the error names the first bad field."""
+    try:
+        row = list(map(float, fields))
+    except ValueError:
+        return None
+    return row if all(map(math.isfinite, row)) else None
+
+
 def _data_lines(path: str | Path) -> list[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [
         (lineno, line)
         for lineno, line in enumerate(text.splitlines(), start=1)
@@ -175,10 +187,11 @@ def parse_labeled_file(
             raise InputFormatError(
                 f"line {lineno}: expected {width} fields, found {len(fields)}"
             )
-        raw_labels.append(_parse_field(fields[0], lineno, 1))
-        rows.append(
-            [_parse_field(f, lineno, col) for col, f in enumerate(fields[1:], start=2)]
-        )
+        row = _finite_floats(fields)
+        if row is None:
+            row = [_parse_field(f, lineno, col) for col, f in enumerate(fields, start=1)]
+        raw_labels.append(row[0])
+        rows.append(row[1:])
 
     if anomaly_class is None:
         labels = np.zeros(len(rows), dtype=np.int64)
@@ -196,10 +209,16 @@ def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> RawSe
     sep = _detect_delimiter(lines[0][1], delimiter)
     values: list[float] = []
     for lineno, line in lines:
-        for col, field in enumerate(line.split(sep), start=1):
-            if field.strip() == "":
-                continue  # stray padding around separators is not a value
-            values.append(_parse_field(field, lineno, col))
+        fields = line.split(sep)
+        # stray padding around separators is not a value, but is a column
+        row = _finite_floats([f for f in fields if f.strip()])
+        if row is None:
+            row = [
+                _parse_field(f, lineno, col)
+                for col, f in enumerate(fields, start=1)
+                if f.strip()
+            ]
+        values += row
     return RawSeries(np.asarray(values))
 
 

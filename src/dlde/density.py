@@ -42,8 +42,10 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
         (N, L) array, L the segment length; entry (k, i) is the density of
         x[k, segment.start - 1 + i] at its own time index.
     """
-    block = x[:, tables.segment.columns]
-    n, length = block.shape
+    # Time-major (L, N) copy: every pass below reads contiguous memory, and
+    # the column index varies along the short outer axis, not the inner one.
+    block = np.ascontiguousarray(x[:, tables.segment.columns].T)
+    length, n = block.shape
 
     # Per hash function, every point's key as a digit (see key_digits) and
     # the (digits, columns) count matrix: how many rows put each key at each
@@ -54,7 +56,7 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     span = 1  # codes lie in [0, span)
     for fn in tables.fns:
         values, digit = key_digits(hash_keys(fn, block).ravel())
-        flat = digit.reshape(n, length) * length + np.arange(length)
+        flat = digit.reshape(length, n) * length + np.arange(length)[:, None]
         matrix = np.bincount(flat.ravel(), minlength=values.size * length)
         lookups.append((digit, matrix.reshape(values.size, length)))
         if span > np.iinfo(np.int64).max // values.size:
@@ -75,7 +77,7 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
         counts = matrix[digit[first]]
         total += counts
         member &= counts > 0
-    return ((total * member).sum(axis=1) / member.sum(axis=1))[inverse].reshape(n, length)
+    return ((total * member).sum(axis=1) / member.sum(axis=1))[inverse].reshape(length, n).T
 
 
 def row_densities(
@@ -91,8 +93,10 @@ def row_densities(
     n, d = x.shape
     if d != tree.d:
         raise ValueError(f"matrix width {d} does not match axis length {tree.d}")
-    # Leaf blocks concatenate to the full (N, d) per-point density matrix in
+    # Leaf blocks fill a C-ordered (N, d) per-point density matrix in
     # temporal order; the row mean's summation order, and so every score
-    # bit, follows that layout.
-    blocks = [leaf_point_densities(x, leaf_tables[seg]) for seg in tree.segments]
-    return np.concatenate(blocks, axis=1).mean(axis=1)
+    # bit, follows that layout, whatever the blocks' own memory order.
+    points = np.empty((n, d))
+    for seg in tree.segments:
+        points[:, seg.columns] = leaf_point_densities(x, leaf_tables[seg])
+    return points.mean(axis=1)

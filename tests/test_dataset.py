@@ -71,6 +71,25 @@ class TestParseLabeledFile:
         with pytest.raises(InputFormatError, match="line 1, column 3"):
             parse_labeled_file(path)
 
+    def test_first_bad_line_named(self, labeled_file):
+        path = labeled_file(["1,1,2,3,4", "1,1,inf,3,4", "1,1,2,3,4", "1,1,2,x,4"])
+        with pytest.raises(InputFormatError, match="line 2, column 3: non-finite"):
+            parse_labeled_file(path)
+
+    def test_first_bad_column_named(self, labeled_file):
+        path = labeled_file(["1,1,nan,3,oops"])
+        with pytest.raises(InputFormatError, match="line 1, column 3: non-finite"):
+            parse_labeled_file(path)
+
+    def test_byte_order_mark_ignored(self, tmp_path, labeled_file):
+        lines = ["1,1,2,3,4", "0,5,6,7,8"]
+        plain = parse_labeled_file(labeled_file(lines), anomaly_class=1)
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        marked = parse_labeled_file(path, anomaly_class=1)
+        np.testing.assert_array_equal(marked.subsequences, plain.subsequences)
+        np.testing.assert_array_equal(marked.labels, plain.labels)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
@@ -120,6 +139,18 @@ class TestParseRawSeries:
         path = labeled_file(["1,2", "3,x"], name="series.txt")
         with pytest.raises(InputFormatError, match="line 2, column 2"):
             parse_raw_series(path)
+
+    def test_blank_fields_count_as_columns(self, labeled_file):
+        path = labeled_file(["1.0,,x"], name="series.txt")
+        with pytest.raises(InputFormatError, match="line 1, column 3"):
+            parse_raw_series(path)
+
+    def test_byte_order_mark_ignored(self, tmp_path, labeled_file):
+        lines = ["1.5,2.5", "-3.0"]
+        plain = parse_raw_series(labeled_file(lines, name="series.txt"))
+        path = tmp_path / "bom.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        np.testing.assert_array_equal(parse_raw_series(path).values, plain.values)
 
     def test_empty(self, tmp_path):
         path = tmp_path / "series.txt"

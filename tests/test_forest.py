@@ -230,6 +230,14 @@ class TestScoreFingerprint:
         scores = score(fit(ds, seed=0), ds).scores
         assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
 
+    def test_long_leaves_byte_identical(self):
+        # hlimit=1: each tree is two leaves spanning all 96 columns
+        ds = _unit_scale_200x96()
+        forest = fit(ds, hlimit=1, seed=0)
+        assert all(len(model.tree.segments) == 2 for model in forest.trees)
+        digest = hashlib.sha256(score(forest, ds).scores.tobytes()).hexdigest()
+        assert digest == "19701b839425d4f300a439722a178f2250ca2cf1b8dfaa70610dadfab4ebcd27"
+
 
 class TestAnomalyScores:
     def test_known_values(self):

@@ -122,9 +122,9 @@ def _parse_field(raw: str, lineno: int, column: int) -> float:
 
 
 def _finite_floats(fields: list[str]) -> list[float] | None:
-    """One line's fields as floats in one batched conversion, or ``None``
-    when any is non-numeric or non-finite; the caller then walks the line
-    with :func:`_parse_field` so the error names the first bad field."""
+    """The fields as floats in one batched conversion, or ``None`` when any
+    is non-numeric or non-finite; the caller then walks them with
+    :func:`_parse_field` so the error names the first bad field."""
     try:
         row = list(map(float, fields))
     except ValueError:
@@ -207,18 +207,16 @@ def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> RawSe
     """
     lines = _data_lines(path)
     sep = _detect_delimiter(lines[0][1], delimiter)
-    values: list[float] = []
-    for lineno, line in lines:
-        fields = line.split(sep)
-        # stray padding around separators is not a value, but is a column
-        row = _finite_floats([f for f in fields if f.strip()])
-        if row is None:
-            row = [
-                _parse_field(f, lineno, col)
-                for col, f in enumerate(fields, start=1)
-                if f.strip()
-            ]
-        values += row
+    # No per-line check comes first here, so the whole file converts in one
+    # batch.  Stray padding around separators is not a value, but is a column.
+    values = _finite_floats([f for _, line in lines for f in line.split(sep) if f.strip()])
+    if values is None:
+        values = [
+            _parse_field(f, lineno, col)
+            for lineno, line in lines
+            for col, f in enumerate(line.split(sep), start=1)
+            if f.strip()
+        ]
     return RawSeries(np.asarray(values))
 
 

@@ -62,7 +62,8 @@ def _find_benchmark(*names: str) -> Path | None:
 
 def _load_benchmark(path: Path, expected_n: int, expected_d: int) -> LabeledDataset:
     """Load a prepared benchmark file, mapping the minority class to anomaly."""
-    raw = [line.split()[0].split(",")[0] for line in path.read_text().splitlines() if line.strip()]
+    text = path.read_text(encoding="utf-8-sig")
+    raw = [line.split()[0].split(",")[0] for line in text.splitlines() if line.strip()]
     counts = Counter(float(v) for v in raw)
     minority = min(counts, key=lambda c: (counts[c], c))
     ds = parse_labeled_file(path, anomaly_class=minority)

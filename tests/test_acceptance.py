@@ -225,38 +225,6 @@ def test_criterion_4_synthetic_convergence_in_m():
     )
 
 
-def _jittered_sines(seed: int) -> LabeledDataset:
-    """120 sine rows of 64 samples, period 16, phase jitter of +-4 samples and
-    noise 0.1; in 8 rows one 8-sample stretch runs at twice the frequency."""
-    rng = np.random.default_rng(seed)
-    t = np.arange(64) + rng.integers(-4, 5, size=(120, 1))
-    x = np.sin(2 * np.pi * t / 16)
-    labels = (np.arange(120) < 8).astype(int)
-    for row, start in enumerate(rng.integers(0, 57, size=8)):
-        stretch = slice(start, start + 8)
-        x[row, stretch] = np.sin(2 * np.pi * t[row, stretch] / 8)
-    return LabeledDataset(x + rng.normal(0.0, 0.1, size=x.shape), labels)
-
-
-def test_criterion_8_segmentation_beats_one_leaf():
-    """The paper's claim that time-split segmentation helps: on phase-jittered
-    sine rows the default hlimit beats hlimit=0 (one leaf over the whole axis)
-    by at least 0.05 in mean AUC over 10 runs.  Seed 0 was the first and
-    only seed tried."""
-    ds = _jittered_sines(0)
-    split, whole = (
-        run_experiment(ExperimentConfig(repeats=10, hlimit=hlimit, normalize=True), dataset=ds)
-        for hlimit in (None, 0)
-    )
-    gap = split.mean_auc - whole.mean_auc
-    _report(
-        8,
-        gap >= 0.05,
-        f"jittered sines: mean AUC {split.mean_auc:.3f} (default hlimit) vs "
-        f"{whole.mean_auc:.3f} (hlimit=0), gap {gap:.3f} (>= 0.05)",
-    )
-
-
 def test_criterion_5_cli_determinism(tmp_path):
     """Two identical evaluate invocations produce byte-identical reports."""
     rng = np.random.default_rng(15)
@@ -320,3 +288,35 @@ def test_criterion_7_degenerate_edges():
         auc(rng.normal(size=10), np.zeros(10, int))
 
     _report(7, True, "tiny-N rejected, constant data scores 0.5, single-class metric rejected")
+
+
+def _jittered_sines(seed: int) -> LabeledDataset:
+    """120 sine rows of 64 samples, period 16, phase jitter of +-4 samples and
+    noise 0.1; in 8 rows one 8-sample stretch runs at twice the frequency."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(64) + rng.integers(-4, 5, size=(120, 1))
+    x = np.sin(2 * np.pi * t / 16)
+    labels = (np.arange(120) < 8).astype(int)
+    for row, start in enumerate(rng.integers(0, 57, size=8)):
+        stretch = slice(start, start + 8)
+        x[row, stretch] = np.sin(2 * np.pi * t[row, stretch] / 8)
+    return LabeledDataset(x + rng.normal(0.0, 0.1, size=x.shape), labels)
+
+
+def test_criterion_8_segmentation_beats_one_leaf():
+    """The paper's claim that time-split segmentation helps: on phase-jittered
+    sine rows the default hlimit beats hlimit=0 (one leaf over the whole axis)
+    by at least 0.05 in mean AUC over 10 runs.  Seed 0 was the first and
+    only seed tried."""
+    ds = _jittered_sines(0)
+    split, whole = (
+        run_experiment(ExperimentConfig(repeats=10, hlimit=hlimit, normalize=True), dataset=ds)
+        for hlimit in (None, 0)
+    )
+    gap = split.mean_auc - whole.mean_auc
+    _report(
+        8,
+        gap >= 0.05,
+        f"jittered sines: mean AUC {split.mean_auc:.3f} (default hlimit) vs "
+        f"{whole.mean_auc:.3f} (hlimit=0), gap {gap:.3f} (>= 0.05)",
+    )

@@ -199,16 +199,20 @@ def _render(config: dict[str, Any], columns: list[str], rows: list[dict[str, Any
 
 def _write_atomic(path: str, text: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
-    )
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the user's path, not the temporary file beside it
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -9,7 +9,11 @@ fixed-length windows with :func:`window_series`.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +125,7 @@ def _parse_field(raw: str, lineno: int, column: int) -> float:
     return value
 
 
-def _finite_floats(fields: list[str]) -> list[float] | None:
+def _finite_floats(fields: Iterable[str]) -> list[float] | None:
     """The fields as floats in one batched conversion, or ``None`` when any
     is non-numeric or non-finite; the caller then walks them with
     :func:`_parse_field` so the error names the first bad field."""
@@ -132,16 +136,16 @@ def _finite_floats(fields: list[str]) -> list[float] | None:
     return row if all(map(math.isfinite, row)) else None
 
 
-def _data_lines(path: str | Path) -> list[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not lines:
-        raise EmptyInputError(f"{path}: no data lines found")
-    return lines
+@contextmanager
+def _data_lines(path: str | Path, delimiter: str | None):
+    """The field separator, from the first non-blank line, and the numbered
+    non-blank lines, read lazily; lines end at LF, CRLF or CR only."""
+    with Path(path).open(encoding="utf-8-sig") as fh:
+        lines = ((no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise EmptyInputError(f"{path}: no data lines found")
+        yield _detect_delimiter(first[1], delimiter), chain([first], lines)
 
 
 def parse_labeled_file(
@@ -168,36 +172,33 @@ def parse_labeled_file(
         InputFormatError: Ragged rows or non-numeric fields, reported with
             line (and column) numbers.
     """
-    lines = _data_lines(path)
-    sep = _detect_delimiter(lines[0][1], delimiter)
-
     width: int | None = None
-    rows: list[list[float]] = []
-    raw_labels: list[float] = []
-    for lineno, line in lines:
-        fields = line.split(sep)
-        if width is None:
-            width = len(fields)
-            if width < 5:
+    table = array("d")  # label and values of every row, 8 bytes a field
+    with _data_lines(path, delimiter) as (sep, lines):
+        for lineno, line in lines:
+            fields = line.split(sep)
+            if width is None:
+                width = len(fields)
+                if width < 5:
+                    raise InputFormatError(
+                        f"line {lineno}: expected a label plus at least 4 values, "
+                        f"found {width} field(s)"
+                    )
+            elif len(fields) != width:
                 raise InputFormatError(
-                    f"line {lineno}: expected a label plus at least 4 values, "
-                    f"found {width} field(s)"
+                    f"line {lineno}: expected {width} fields, found {len(fields)}"
                 )
-        elif len(fields) != width:
-            raise InputFormatError(
-                f"line {lineno}: expected {width} fields, found {len(fields)}"
-            )
-        row = _finite_floats(fields)
-        if row is None:
-            row = [_parse_field(f, lineno, col) for col, f in enumerate(fields, start=1)]
-        raw_labels.append(row[0])
-        rows.append(row[1:])
+            row = _finite_floats(fields)
+            if row is None:
+                row = [_parse_field(f, lineno, col) for col, f in enumerate(fields, start=1)]
+            table.fromlist(row)
 
+    rows = np.frombuffer(table).reshape(-1, width)
     if anomaly_class is None:
         labels = np.zeros(len(rows), dtype=np.int64)
     else:
-        labels = (np.asarray(raw_labels) == float(anomaly_class)).astype(np.int64)
-    return LabeledDataset(np.asarray(rows), labels)
+        labels = (rows[:, 0] == float(anomaly_class)).astype(np.int64)
+    return LabeledDataset(rows[:, 1:], labels)
 
 
 def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> RawSeries:
@@ -205,18 +206,19 @@ def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> RawSe
 
     Accepts both one-value-per-line files and delimited multi-value lines.
     """
-    lines = _data_lines(path)
-    sep = _detect_delimiter(lines[0][1], delimiter)
     # No per-line check comes first here, so the whole file converts in one
-    # batch.  Stray padding around separators is not a value, but is a column.
-    values = _finite_floats([f for _, line in lines for f in line.split(sep) if f.strip()])
+    # batch, streamed; on failure a second read walks it field by field.
+    # Stray padding around separators is not a value, but is a column.
+    with _data_lines(path, delimiter) as (sep, lines):
+        values = _finite_floats(f for _, line in lines for f in line.split(sep) if f.strip())
     if values is None:
-        values = [
-            _parse_field(f, lineno, col)
-            for lineno, line in lines
-            for col, f in enumerate(line.split(sep), start=1)
-            if f.strip()
-        ]
+        with _data_lines(path, delimiter) as (sep, lines):
+            values = [
+                _parse_field(f, lineno, col)
+                for lineno, line in lines
+                for col, f in enumerate(line.split(sep), start=1)
+                if f.strip()
+            ]
     return RawSeries(np.asarray(values))
 
 

@@ -25,10 +25,12 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .hashing import LeafTables, hash_keys, key_digits
+from .hashing import LeafTables, bucket_keys, key_bounds
 from .tstree import Segment, TSTree
 
 __all__ = ["leaf_point_densities", "row_densities"]
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
@@ -47,23 +49,33 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     block = np.ascontiguousarray(x[:, tables.segment.columns].T)
     length, n = block.shape
 
-    # Per hash function, every point's key as a digit (see key_digits) and
-    # the (digits, columns) count matrix: how many rows put each key at each
-    # column.  Digits combine into one mixed-radix code per key tuple; codes
-    # are compacted to their ranks before a product could overflow int64.
+    # Per hash function, every point's key as a digit below the key count:
+    # its offset from the smallest key when the keys span no more values
+    # than there are keys (the usual case, no sort), else its rank among
+    # the distinct keys; and the (digits, columns) count matrix: how many
+    # rows put each key at each column.  Digits combine into one mixed-radix
+    # code per key tuple; codes are compacted to their ranks before a
+    # product could overflow int64.
+    bounds = key_bounds(block, tables.fns)  # checks every key, one array pass
     lookups = []
     code = np.zeros(n * length, dtype=np.int64)
     span = 1  # codes lie in [0, span)
-    for fn in tables.fns:
-        values, digit = key_digits(hash_keys(fn, block).ravel())
+    for fn, (lo, hi) in zip(tables.fns, bounds):
+        keys = bucket_keys(block, fn.offset, fn.width).ravel()
+        if hi - lo < keys.size:
+            size = int(hi - lo) + 1
+            digit = np.subtract(keys, lo, out=keys).astype(np.int64)
+        else:
+            distinct, digit = np.unique(keys, return_inverse=True)
+            size = distinct.size
         flat = digit.reshape(length, n) * length + np.arange(length)[:, None]
-        matrix = np.bincount(flat.ravel(), minlength=values.size * length)
-        lookups.append((digit, matrix.reshape(values.size, length)))
-        if span > np.iinfo(np.int64).max // values.size:
+        matrix = np.bincount(flat.ravel(), minlength=size * length)
+        lookups.append((digit, matrix.reshape(size, length)))
+        if span > _INT64_MAX // size:
             uniq, code = np.unique(code, return_inverse=True)
             span = uniq.size
-        code = code * values.size + digit
-        span *= values.size
+        code = code * size + digit
+        span *= size
 
     # Intersection and count sum once per distinct tuple, through any one
     # of its points: counts[u, c] is the occurrences of tuple u's key in

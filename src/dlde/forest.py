@@ -130,8 +130,7 @@ def fit(
         )
         tables: dict[Segment, LeafTables] = {}
         for ordinal, segment in enumerate(tree.segments):
-            rng = spawn_rng(seed, HASH_STREAM, i, ordinal)
-            fns = tuple(sample_hash_fn(dataset.n, rng) for _ in range(h))
+            fns = sample_hash_fn(dataset.n, spawn_rng(seed, HASH_STREAM, i, ordinal), h)
             tables[segment] = build_leaf_tables(dataset, segment, fns)
         trees.append(TreeModel(tree=tree, leaf_tables=tables))
 

@@ -6,8 +6,9 @@ from a range that shrinks as the dataset grows, ``[1/log2(N), 1 - 1/log2(N)]``,
 which presumes roughly unit-scale data (see ``znormalize``).  Bucket keys
 are int64, so every key must lie in [-2**63, 2**63); data whose keys
 would leave that range is rejected with a :class:`ConfigurationError`.
-No arithmetic on keys can overflow inside that range: scoring combines
-key digits (see :func:`key_digits`), not keys.
+Keys are monotone in the value, so :func:`key_bounds` checks a block
+from its two extremes.  No arithmetic on keys can overflow inside that
+range: scoring combines key digits, not keys.
 
 A leaf segment of a tree keeps only its ``h`` independently sampled
 bucketing functions.  The counts they induce (how many subsequences put
@@ -53,11 +54,14 @@ class HashFn:
             )
 
 
-def sample_hash_fn(n: int, rng: np.random.Generator) -> HashFn:
-    """Draw one bucketing function for a dataset of ``n`` subsequences.
+def sample_hash_fn(n: int, rng: np.random.Generator, h: int) -> tuple[HashFn, ...]:
+    """Draw a leaf's ``h`` bucketing functions for a dataset of ``n`` subsequences.
 
-    The width is uniform on [1/log2(n), 1 - 1/log2(n)] and the offset
-    uniform on [0, width].  The range is empty or degenerate for n <= 4.
+    Each width is uniform on [1/log2(n), 1 - 1/log2(n)] and each offset
+    uniform on [0, width].  One block of ``2 * h`` uniforms, taken with
+    ``rng.uniform``'s arithmetic, gives bit for bit the functions of ``h``
+    sequential (width, offset) ``rng.uniform`` draws.  The range is empty
+    or degenerate for n <= 4.
 
     Raises:
         ConfigurationError: ``n`` <= 4.
@@ -67,9 +71,43 @@ def sample_hash_fn(n: int, rng: np.random.Generator) -> HashFn:
             f"dataset too small for hash-width sampling range (need >= 5 rows, got {n})"
         )
     lo = 1.0 / math.log2(n)
-    width = rng.uniform(lo, 1.0 - lo)
-    offset = rng.uniform(0.0, width)
-    return HashFn(width=width, offset=offset)
+    u = rng.random(2 * h)
+    widths = lo + ((1.0 - lo) - lo) * u[0::2]
+    offsets = 0.0 + widths * u[1::2]
+    return tuple(map(HashFn, widths.tolist(), offsets.tolist()))
+
+
+def bucket_keys(values: np.ndarray, offset, width) -> np.ndarray:
+    """Float bucket keys ``floor((values + offset) / width)``, unchecked;
+    (h, 1) columns of offsets and widths hash under h functions at once."""
+    keys = values + offset
+    keys /= width
+    return np.floor(keys, out=keys)
+
+
+def key_bounds(values: np.ndarray, fns: tuple[HashFn, ...] | list[HashFn]) -> list[list[float]]:
+    """``[lo, hi]``, the smallest and largest bucket key of non-empty
+    ``values``, per function of ``fns``: the keys of the two extremes.
+
+    Raises:
+        ConfigurationError: a value is NaN or infinite, or a key falls
+            outside [-2**63, 2**63) because the data is far off unit scale.
+    """
+    ends = np.array([values.min(), values.max()])
+    offsets, widths = np.array([(fn.offset, fn.width) for fn in fns]).T[:, :, None]
+    with np.errstate(over="ignore"):
+        bounds = bucket_keys(ends, offsets, widths).tolist()
+    # non-finite values and overflowing keys are non-finite: they fail this range test
+    admitted = [-_KEY_LIMIT <= lo and hi < _KEY_LIMIT for lo, hi in bounds]
+    if not all(admitted):
+        if not np.isfinite(ends).all():
+            raise ConfigurationError("NaN or infinite values have no bucket key")
+        raise ConfigurationError(
+            f"values up to {float(np.abs(ends).max()):.3g} give bucket keys outside "
+            f"the int64 range under width {fns[admitted.index(False)].width:.3g}; "
+            "the data must be near unit scale, so z-normalize the rows (--normalize)"
+        )
+    return bounds
 
 
 def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
@@ -79,38 +117,12 @@ def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
     rounding, so it equals the key computed in Python integers.
 
     Raises:
-        ConfigurationError: a value is NaN or infinite, or a key falls
-            outside [-2**63, 2**63) because the data is far off unit scale.
+        ConfigurationError: as :func:`key_bounds`.
     """
     values = np.asarray(values, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        keys = np.floor((values + fn.offset) / fn.width)
-    # non-finite values and overflowing keys are non-finite: they fail this range test
-    if keys.size and not (-_KEY_LIMIT <= keys.min() and keys.max() < _KEY_LIMIT):
-        if not np.isfinite(values).all():
-            raise ConfigurationError("NaN or infinite values have no bucket key")
-        raise ConfigurationError(
-            f"values up to {float(np.abs(values).max()):.3g} give bucket keys outside "
-            f"the int64 range under width {fn.width:.3g}; the data must be near unit "
-            "scale, so z-normalize the rows (--normalize)"
-        )
-    return keys.astype(np.int64)
-
-
-def key_digits(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted candidate key values and each key's index (digit) among them.
-
-    Keys that span no more values than there are keys (the usual case)
-    index the whole range from the smallest key, found without sorting;
-    the offsets cannot overflow because that range is small.  Sparser keys
-    index their sorted distinct values.  Digits are below ``keys.size``
-    either way.
-    """
-    lo = int(keys.min())
-    width = int(keys.max()) - lo + 1
-    if width <= keys.size:
-        return np.arange(lo, lo + width), keys - lo
-    return np.unique(keys, return_inverse=True)
+    if values.size:
+        key_bounds(values, (fn,))
+    return bucket_keys(values.ravel(), fn.offset, fn.width).astype(np.int64).reshape(values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +138,8 @@ def build_leaf_tables(
 ) -> LeafTables:
     """Check that every key of ``dataset`` over ``segment`` fits int64.
 
-    Keys are monotone in the value, so hashing the block's smallest and
-    largest value checks every key.
+    One array pass hashes the block's two extremes under every function
+    (see :func:`key_bounds`).
 
     Raises:
         ValueError: segment out of the dataset's 1..d range, or no hash
@@ -140,8 +152,5 @@ def build_leaf_tables(
         )
     if len(fns) < 1:
         raise ValueError("at least one hash function is required")
-    block = dataset.subsequences[:, segment.columns]
-    ends = np.array([block.min(), block.max()])
-    for fn in fns:
-        hash_keys(fn, ends)
+    key_bounds(dataset.subsequences[:, segment.columns], fns)
     return LeafTables(segment, tuple(fns))

@@ -152,6 +152,20 @@ class TestDetect:
         _, norm_rows = _read_csv(norm_out)
         assert [r["score"] for r in raw_rows] != [r["score"] for r in norm_rows]
 
+    # the atomic write goes through a temporary file beside the output; a
+    # failure must name the output the user gave, and leave no temporary
+    @pytest.mark.parametrize("target", ["absent_dir/scores.csv", "a_directory"])
+    def test_unwritable_output_names_the_output(self, tmp_path, capsys, target):
+        data = _write_dataset(tmp_path)
+        out = tmp_path / target
+        if target == "a_directory":
+            out.mkdir()
+        code = main(["detect", "--input", str(data), "--output", str(out)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"'{out}'" in err and ".tmp" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
 
 class TestEvaluate:
     def test_report_columns_and_header(self, tmp_path):

@@ -90,6 +90,20 @@ class TestParseLabeledFile:
         np.testing.assert_array_equal(marked.subsequences, plain.subsequences)
         np.testing.assert_array_equal(marked.labels, plain.labels)
 
+    # Lines end at \n, \r\n or \r; blank and whitespace-only lines are
+    # skipped but still counted.
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_numbers_under_each_line_ending(self, tmp_path, labeled_file, ending):
+        lines = ["1,1,2,3,4", "", "  ", "0,5,6,7,8"]
+        path = tmp_path / "endings.csv"
+        path.write_bytes(ending.join(lines).encode() + ending.encode())
+        parsed = parse_labeled_file(path, anomaly_class=1)
+        plain = parse_labeled_file(labeled_file(lines), anomaly_class=1)
+        np.testing.assert_array_equal(parsed.subsequences, plain.subsequences)
+        path.write_bytes(ending.join(lines + ["1,1,oops,3,4"]).encode())
+        with pytest.raises(InputFormatError, match="line 5, column 3"):
+            parse_labeled_file(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
@@ -151,6 +165,15 @@ class TestParseRawSeries:
         path = tmp_path / "bom.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
         np.testing.assert_array_equal(parse_raw_series(path).values, plain.values)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_numbers_under_each_line_ending(self, tmp_path, ending):
+        path = tmp_path / "series.txt"
+        path.write_bytes(ending.join(["1.5", "", "2.5", " ", "3,4"]).encode() + ending.encode())
+        np.testing.assert_array_equal(parse_raw_series(path).values, [1.5, 2.5, 3, 4])
+        path.write_bytes(ending.join(["1.5", "", "2.5", " ", "3,x"]).encode())
+        with pytest.raises(InputFormatError, match="line 5, column 2"):
+            parse_raw_series(path)
 
     def test_empty(self, tmp_path):
         path = tmp_path / "series.txt"

@@ -13,7 +13,7 @@ import dlde.hashing
 from dlde import ConfigurationError, LabeledDataset, anomaly_scores, fit, score
 from dlde.density import leaf_point_densities
 from dlde.forest import _tree_sums
-from dlde.hashing import hash_keys
+from dlde.hashing import bucket_keys
 from dlde.tstree import Segment, leaves
 
 from conftest import matrices, random_dataset, tree_model_state
@@ -49,23 +49,28 @@ class TestFit:
             assert covered == list(range(16))
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
-        # fit checks the key range from each block's extremes (2 values) and
-        # score hashes every (leaf, function) block once, counting as it reads
-        sizes = []
+        # fit hashes only each block's two extremes, under all functions in
+        # one call; score hashes them again and every (leaf, function) block
+        # once, counting as it reads
+        calls = []
 
-        def counting(fn, values):
-            sizes.append(np.size(values))
-            return hash_keys(fn, values)
+        def counting(values, offset, width):
+            calls.append(np.array(values))
+            return bucket_keys(values, offset, width)
 
-        monkeypatch.setattr(dlde.hashing, "hash_keys", counting)
-        monkeypatch.setattr(dlde.density, "hash_keys", counting)
+        monkeypatch.setattr(dlde.hashing, "bucket_keys", counting)
+        monkeypatch.setattr(dlde.density, "bucket_keys", counting)
         ds = random_dataset(np.random.default_rng(1), 9, 16)
         forest = fit(ds, m=3, h=4, seed=7)
-        assert [size for size in sizes if size > 2] == []
+        x = ds.subsequences
+        segments = [seg for model in forest.trees for seg in model.tree.segments]
+        extremes = sorted([x[:, s.columns].min(), x[:, s.columns].max()] for s in segments)
+        assert sorted(values.tolist() for values in calls) == extremes
+        calls.clear()
         score(forest, ds)
-        blocks = sorted(9 * seg.length for model in forest.trees
-                        for seg in model.tree.segments for _ in range(4))
-        assert sorted(size for size in sizes if size > 2) == blocks
+        assert sorted(values.tolist() for values in calls if values.size == 2) == extremes
+        blocks = sorted(9 * seg.length for seg in segments for _ in range(4))
+        assert sorted(values.size for values in calls if values.size > 2) == blocks
 
     def test_too_small_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(2), 4, 8)
@@ -80,6 +85,20 @@ class TestFit:
         x[5, 3] = value
         with pytest.raises(ConfigurationError, match="--normalize"):
             fit(LabeledDataset(x, ds.labels), seed=0)
+
+    def test_off_scale_message(self):
+        # exact text, recorded before the range check moved to one array
+        # pass over each block's extremes
+        ds = random_dataset(np.random.default_rng(2), 8, 8)
+        x = ds.subsequences.copy()
+        x[5, 3] = -1e19
+        with pytest.raises(ConfigurationError) as exc:
+            fit(LabeledDataset(x, ds.labels), seed=0)
+        assert str(exc.value) == (
+            "values up to 1e+19 give bucket keys outside the int64 range under "
+            "width 0.631; the data must be near unit scale, so z-normalize the rows "
+            "(--normalize)"
+        )
 
     def test_large_admitted_keys_match_bruteforce(self):
         # |value| 1e17 under widths >= 1/log2(8) gives keys of about 3e17,

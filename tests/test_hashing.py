@@ -8,40 +8,57 @@ import pytest
 from dlde import ConfigurationError, LabeledDataset
 from dlde.density import leaf_point_densities
 from dlde.hashing import HashFn, build_leaf_tables, hash_keys, sample_hash_fn
+from dlde.seeding import HASH_STREAM, spawn_rng
 from dlde.tstree import Segment
 
+from conftest import random_dataset
 from reference import hash_value
 
 
 class TestSampleHashFn:
     def test_width_range_n16(self):
         rng = np.random.default_rng(0)
-        widths = [sample_hash_fn(16, rng).width for _ in range(500)]
+        widths = [fn.width for fn in sample_hash_fn(16, rng, 500)]
         assert min(widths) >= 0.25 and max(widths) <= 0.75
 
     def test_width_range_n5(self):
         rng = np.random.default_rng(1)
         lo = 1.0 / math.log2(5)
         assert lo == pytest.approx(0.430676558, abs=1e-9)
-        for _ in range(200):
-            fn = sample_hash_fn(5, rng)
+        for fn in sample_hash_fn(5, rng, 200):
             assert lo <= fn.width <= 1.0 - lo
 
     def test_offset_within_width(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            fn = sample_hash_fn(32, rng)
+        for fn in sample_hash_fn(32, rng, 200):
             assert 0.0 <= fn.offset <= fn.width
 
     @pytest.mark.parametrize("n", [4, 3, 2, 1, 0])
     def test_small_datasets_rejected(self, n):
         with pytest.raises(ConfigurationError, match="too small"):
-            sample_hash_fn(n, np.random.default_rng(0))
+            sample_hash_fn(n, np.random.default_rng(0), 1)
 
     def test_deterministic_under_seed(self):
-        a = sample_hash_fn(20, np.random.default_rng(7))
-        b = sample_hash_fn(20, np.random.default_rng(7))
-        assert a == b
+        a = sample_hash_fn(20, np.random.default_rng(7), 10)
+        b = sample_hash_fn(20, np.random.default_rng(7), 10)
+        assert len(a) == 10 and a == b
+
+    # One block of uniforms must give the functions, and leave the stream,
+    # exactly as h sequential pairs of scalar rng.uniform draws do.
+    @pytest.mark.parametrize("n", [5, 16, 1272, 5000])
+    @pytest.mark.parametrize("h", [1, 10, 64])
+    def test_bits_match_sequential_uniform_draws(self, n, h):
+        lo = 1.0 / math.log2(n)
+        for leaf in range(20):
+            batched = spawn_rng(3, HASH_STREAM, n, leaf)
+            scalar = spawn_rng(3, HASH_STREAM, n, leaf)
+            fns = sample_hash_fn(n, batched, h)
+            expected = []
+            for _ in range(h):
+                width = scalar.uniform(lo, 1.0 - lo)
+                expected.append((width.hex(), scalar.uniform(0.0, width).hex()))
+            assert [(fn.width.hex(), fn.offset.hex()) for fn in fns] == expected
+            assert batched.random() == scalar.random()
 
 
 class TestHashValue:
@@ -51,21 +68,21 @@ class TestHashValue:
 
     def test_monotone_non_decreasing(self):
         rng = np.random.default_rng(3)
-        fn = sample_hash_fn(50, rng)
+        fn = sample_hash_fn(50, rng, 1)[0]
         values = np.sort(rng.normal(size=300) * 5)
         assert np.all(np.diff(hash_keys(fn, values)) >= 0)
 
     def test_separation_beyond_width(self):
         # values more than one bucket width apart never share a key
         rng = np.random.default_rng(4)
-        fn = sample_hash_fn(50, rng)
+        fn = sample_hash_fn(50, rng, 1)[0]
         a = rng.normal(size=300) * 3
         b = a + fn.width * (1.0 + rng.random(size=300) * 4)
         assert np.all(hash_keys(fn, a) != hash_keys(fn, b))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
-        fn = sample_hash_fn(24, rng)
+        fn = sample_hash_fn(24, rng, 1)[0]
         values = rng.normal(size=(6, 7)) * 10
         keys = hash_keys(fn, values)
         for (i, j), v in np.ndenumerate(values):
@@ -187,6 +204,32 @@ class TestBuildLeafTables:
         with pytest.raises(ConfigurationError, match="--normalize"):
             build_leaf_tables(low, Segment(1, 3), [HashFn(0.5, 0.0), HashFn(0.25, 0.0)])
         build_leaf_tables(low, Segment(1, 3), [HashFn(0.5, 0.0)])
+
+    # Exact texts, recorded before the range check moved to one array pass
+    # over each block's extremes.  The first failing function in order is
+    # named; datasets reject NaN, so only a direct kernel call can meet one.
+    def test_kernel_off_scale_message_names_first_failing_function(self):
+        ds = random_dataset(np.random.default_rng(3), 8, 8)
+        fns = [HashFn(0.9, 0.0), HashFn(0.4, 0.1), HashFn(0.2, 0.1)]
+        tables = build_leaf_tables(ds, Segment(2, 5), fns)
+        x = ds.subsequences.copy()
+        x[3, 2] = 2.0**62
+        with pytest.raises(ConfigurationError) as exc:
+            leaf_point_densities(x, tables)
+        assert str(exc.value) == (
+            "values up to 4.61e+18 give bucket keys outside the int64 range under "
+            "width 0.4; the data must be near unit scale, so z-normalize the rows "
+            "(--normalize)"
+        )
+
+    def test_kernel_nan_message(self):
+        ds = random_dataset(np.random.default_rng(3), 8, 8)
+        tables = build_leaf_tables(ds, Segment(2, 5), [HashFn(0.5, 0.1), HashFn(0.3, 0.2)])
+        x = ds.subsequences.copy()
+        x[3, 2] = np.nan
+        with pytest.raises(ConfigurationError) as exc:
+            leaf_point_densities(x, tables)
+        assert str(exc.value) == "NaN or infinite values have no bucket key"
 
     def test_segment_outside_axis_rejected(self):
         ds = _identical_rows(5, 6)

@@ -139,13 +139,23 @@ def _finite_floats(fields: Iterable[str]) -> list[float] | None:
 @contextmanager
 def _data_lines(path: str | Path, delimiter: str | None):
     """The field separator, from the first non-blank line, and the numbered
-    non-blank lines, read lazily; lines end at LF, CRLF or CR only."""
-    with Path(path).open(encoding="utf-8-sig") as fh:
-        lines = ((no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip())
-        first = next(lines, None)
-        if first is None:
-            raise EmptyInputError(f"{path}: no data lines found")
-        yield _detect_delimiter(first[1], delimiter), chain([first], lines)
+    non-blank lines, read lazily; lines end at LF, CRLF or CR only.  Text
+    that is not UTF-8 is an :class:`InputFormatError` naming the line."""
+    try:
+        with Path(path).open(encoding="utf-8-sig") as fh:
+            lines = ((no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip())
+            first = next(lines, None)
+            if first is None:
+                raise EmptyInputError(f"{path}: no data lines found")
+            yield _detect_delimiter(first[1], delimiter), chain([first], lines)
+    except UnicodeDecodeError:
+        # bytes split at LF, CRLF and CR only, as the text reader does
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(f"line {lineno}, byte {exc.start + 1}: not UTF-8 text") from None
+        raise
 
 
 def parse_labeled_file(

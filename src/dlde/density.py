@@ -13,10 +13,12 @@ inside their leaf neighborhoods.
 Scoring is transductive: a leaf's bucket counts are built from the very
 matrix whose densities are read, so every point finds itself: TN is never
 empty, and every density is >= h, the point's own count under each
-function.  A point's density depends only on its tuple of h bucket keys,
-so :func:`leaf_point_densities` computes it once per distinct tuple in a
-leaf and gathers the result back to the points; :func:`row_densities`
-averages them into subsequence densities for all rows at once.
+function.  A point's density depends only on its h bucket keys, and keys
+never decrease as the value grows: in a leaf's sorted values one key
+tuple is one run, a *cell*, and one key of one function a run of cells.
+:func:`leaf_point_densities` counts cells per column once and reads a
+key's count as a difference of cumulative cell counts;
+:func:`row_densities` averages point densities over each row.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .tstree import Segment, TSTree
 
 __all__ = ["leaf_point_densities", "row_densities"]
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     """Point densities of every value of ``x`` inside one leaf segment.
@@ -44,52 +44,43 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
         (N, L) array, L the segment length; entry (k, i) is the density of
         x[k, segment.start - 1 + i] at its own time index.
     """
-    # Time-major (L, N) copy: every pass below reads contiguous memory, and
-    # the column index varies along the short outer axis, not the inner one.
-    block = np.ascontiguousarray(x[:, tables.segment.columns].T)
-    length, n = block.shape
+    n, length = x.shape[0], tables.segment.length
+    values = x[:, tables.segment.columns].T.ravel()  # time-major: value p is in column p // n
+    order = values.argsort()
+    ordered = values.take(order)
+    key_bounds(ordered[[0, -1]], tables.fns)  # NaN sorts last; checks every key
 
-    # Per hash function, every point's key as a digit below the key count:
-    # its offset from the smallest key when the keys span no more values
-    # than there are keys (the usual case, no sort), else its rank among
-    # the distinct keys; and the (digits, columns) count matrix: how many
-    # rows put each key at each column.  Digits combine into one mixed-radix
-    # code per key tuple; codes are compacted to their ranks before a
-    # product could overflow int64.
-    bounds = key_bounds(block, tables.fns)  # checks every key, one array pass
-    lookups = []
-    code = np.zeros(n * length, dtype=np.int64)
-    span = 1  # codes lie in [0, span)
-    for fn, (lo, hi) in zip(tables.fns, bounds):
-        keys = bucket_keys(block, fn.offset, fn.width).ravel()
-        if hi - lo < keys.size:
-            size = int(hi - lo) + 1
-            digit = np.subtract(keys, lo, out=keys).astype(np.int64)
-        else:
-            distinct, digit = np.unique(keys, return_inverse=True)
-            size = distinct.size
-        flat = digit.reshape(length, n) * length + np.arange(length)[:, None]
-        matrix = np.bincount(flat.ravel(), minlength=size * length)
-        lookups.append((digit, matrix.reshape(size, length)))
-        if span > _INT64_MAX // size:
-            uniq, code = np.unique(code, return_inverse=True)
-            span = uniq.size
-        code = code * size + digit
-        span *= size
+    # changes[j, p]: function j's key differs between sorted values p - 1
+    # and p, and is true at both ends; cells end wherever any key changes.
+    changes = np.ones((len(tables.fns), ordered.size + 1), dtype=bool)
+    for fn, change in zip(tables.fns, changes):
+        keys = bucket_keys(ordered, fn.offset, fn.width)
+        np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
+    edges = changes.any(axis=0).nonzero()[0]
+    sizes = edges[1:] - edges[:-1]
 
-    # Intersection and count sum once per distinct tuple, through any one
-    # of its points: counts[u, c] is the occurrences of tuple u's key in
-    # column c.  A point's own column is in every N_j, so TN is never empty.
-    uniq, inverse = np.unique(code, return_inverse=True)
-    first = np.empty(uniq.size, dtype=np.intp)
-    first[inverse] = np.arange(code.size)
-    total = np.zeros((uniq.size, length), dtype=np.int64)
-    member = np.ones((uniq.size, length), dtype=bool)
-    for digit, matrix in lookups:
-        counts = matrix[digit[first]]
-        total += counts
-        member &= counts > 0
-    return ((total * member).sum(axis=1) / member.sum(axis=1))[inverse].reshape(length, n).T
+    # counts[c, i]: the points in column i of the cells before cell c.
+    index = np.arange(length, edges.size * length, length).repeat(sizes) + order // n
+    counts = np.bincount(index, minlength=edges.size * length).reshape(-1, length)
+    del index
+    counts.cumsum(axis=0, out=counts)
+
+    # Under function j each key is a run of cells; its count in column i is
+    # the difference of counts at the run's edges, positive where i is in N_j.
+    # A point's own column is in every N_j.  einsum needs no (cells, L) product.
+    total = np.zeros((sizes.size, length), dtype=np.int64)
+    member = np.ones(total.shape, dtype=bool)
+    for start in changes.take(edges, axis=1):
+        runs = start.nonzero()[0]
+        at = counts.take(runs, axis=0)
+        run = at[1:] - at[:-1]
+        lengths = runs[1:] - runs[:-1]
+        total += run.repeat(lengths, axis=0)
+        member &= (run > 0).repeat(lengths, axis=0)
+    density = np.einsum("ij,ij->i", total, member) / np.einsum("ij->i", member, dtype=np.int64)
+    out = np.empty(ordered.size)
+    out[order] = density.repeat(sizes)
+    return out.reshape(length, n).T
 
 
 def row_densities(

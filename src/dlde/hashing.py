@@ -7,8 +7,7 @@ which presumes roughly unit-scale data (see ``znormalize``).  Bucket keys
 are int64, so every key must lie in [-2**63, 2**63); data whose keys
 would leave that range is rejected with a :class:`ConfigurationError`.
 Keys are monotone in the value, so :func:`key_bounds` checks a block
-from its two extremes.  No arithmetic on keys can overflow inside that
-range: scoring combines key digits, not keys.
+from its two extremes.
 
 A leaf segment of a tree keeps only its ``h`` independently sampled
 bucketing functions.  The counts they induce (how many subsequences put

@@ -167,6 +167,24 @@ class TestDetect:
         assert list(tmp_path.rglob("*.tmp")) == []
 
 
+    # line 2 holds the byte 0xff, which no UTF-8 text contains
+    @pytest.mark.parametrize(
+        "content, extra, where",
+        [
+            (b"0,1,2,3,4\n0,1,\xff2,3,4\n", [], "line 2, byte 5"),
+            (b"1.0\r\n2.\xff5\r\n3.0\r\n4.0\r\n", ["--subseq-len", "4"], "line 2, byte 3"),
+        ],
+        ids=["labeled", "raw"],
+    )
+    def test_non_utf8_input_names_the_line(self, tmp_path, capsys, content, extra, where):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(content)
+        code = main(["detect", "--input", str(path), "--output", str(tmp_path / "o.csv"), *extra])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"dlde: input error: {where}: not UTF-8 text\n"
+        assert not (tmp_path / "o.csv").exists()
+
+
 class TestEvaluate:
     def test_report_columns_and_header(self, tmp_path):
         data = _write_dataset(tmp_path)

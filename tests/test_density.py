@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import dlde
 from dlde import LabeledDataset, fit, score
 from dlde.density import leaf_point_densities, row_densities
-from dlde.hashing import HashFn, build_leaf_tables, hash_keys
-from dlde.tstree import Segment, build_tstree, leaves
+from dlde.hashing import HashFn, LeafTables, build_leaf_tables, hash_keys, sample_hash_fn
+from dlde.tstree import Segment, TSTree, build_tstree, leaves
 
 from conftest import matrices
 from reference import tree_point_densities
@@ -231,12 +231,59 @@ class TestSubsequenceDensity:
         assert row_densities(ds.subsequences, model.tree, model.leaf_tables).min() >= 1.0
 
 
+# Offset 0, offset equal to the width, and one in between.
+EDGE_FNS = (HashFn(0.3, 0.1), HashFn(0.25, 0.0), HashFn(0.7, 0.7))
+
+
+def _on_bucket_edges():
+    # k * width - offset under each function, and the next float either side
+    edges = np.array([k * fn.width - fn.offset for fn in EDGE_FNS for k in range(-3, 4)])
+    values = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    return np.random.default_rng(0).permutation(values).reshape(9, 7), EDGE_FNS
+
+
+def _signed_zeros():
+    values = np.array([-0.0, 0.0] * 12 + [5e-324, -5e-324, 0.25, -0.25])
+    return np.random.default_rng(1).permutation(values).reshape(7, 4), EDGE_FNS
+
+
+def _adc_ties():
+    # integer counts around 2048: each integer its own key, repeated often
+    rng = np.random.default_rng(2)
+    return np.round(2048.0 + 40.0 * rng.normal(size=(16, 10))), sample_hash_fn(16, rng, 4)
+
+
+SORTED_CELL_CASES = {
+    "on_bucket_edges": _on_bucket_edges,
+    "signed_zeros": _signed_zeros,
+    "all_equal": lambda: (np.full((6, 5), 0.4), EDGE_FNS),
+    "all_equal_on_an_edge": lambda: (np.full((5, 4), 2 * 0.3 - 0.1), EDGE_FNS),
+    "one_row": lambda: (np.random.default_rng(3).normal(size=(1, 9)), EDGE_FNS),
+    "one_column": lambda: (np.round(np.random.default_rng(4).normal(size=(12, 1)), 1), EDGE_FNS),
+    "one_value": lambda: (np.array([[0.6]]), EDGE_FNS),
+    "adc_ties": _adc_ties,
+}
+
+
 class TestOracleEquivalence:
     @staticmethod
     def _assert_leaves_match_bruteforce(x, model):
         fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
         expected = tree_point_densities(x.tolist(), model.tree, fns_by_leaf)
         got = _point_densities(x, model.tree, model.leaf_tables)
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    # A key never decreases as the value grows, so each key tuple is one
+    # run of a leaf's sorted values.  These inputs sit where that could
+    # break: on bucket edges and one float either side, at signed zeros,
+    # in blocks of one value, one row or one column, and in heavy ties.
+    @pytest.mark.parametrize("case", SORTED_CELL_CASES)
+    def test_sorted_cells_match_bruteforce(self, case):
+        x, fns = SORTED_CELL_CASES[case]()
+        segment = Segment(1, x.shape[1])
+        tree = TSTree((segment,), (0,))
+        expected = tree_point_densities(x.tolist(), tree, {segment: fns})
+        got = leaf_point_densities(x, LeafTables(segment, tuple(fns)))
         np.testing.assert_array_equal(got, np.array(expected))
 
     @pytest.mark.parametrize("seed", range(12))
@@ -275,8 +322,8 @@ class TestOracleEquivalence:
 
     def test_all_distinct_tuples_match_bruteforce(self):
         # values one apart and widths below one: every point has its own
-        # key under every function, so TN is its own column only; with 12
-        # functions over up to 77 keys the tuple codes must be compacted
+        # key under every function, so TN is its own column only, and
+        # every sorted value is a cell of its own
         x = np.random.default_rng(9).permutation(11 * 7).reshape(11, 7).astype(float)
         ds = LabeledDataset(x, np.zeros(11, int))
         model = fit(ds, m=1, h=12, hlimit=0, seed=2).trees[0]

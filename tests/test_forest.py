@@ -50,12 +50,12 @@ class TestFit:
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
         # fit hashes only each block's two extremes, under all functions in
-        # one call; score hashes them again and every (leaf, function) block
-        # once, counting as it reads
+        # one call.  score, leaf by leaf, hashes the extremes again, then the
+        # leaf's sorted values once per function, in order, and nothing else
         calls = []
 
         def counting(values, offset, width):
-            calls.append(np.array(values))
+            calls.append((np.array(values), offset, width))
             return bucket_keys(values, offset, width)
 
         monkeypatch.setattr(dlde.hashing, "bucket_keys", counting)
@@ -63,14 +63,22 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(1), 9, 16)
         forest = fit(ds, m=3, h=4, seed=7)
         x = ds.subsequences
-        segments = [seg for model in forest.trees for seg in model.tree.segments]
-        extremes = sorted([x[:, s.columns].min(), x[:, s.columns].max()] for s in segments)
-        assert sorted(values.tolist() for values in calls) == extremes
+        tables = [model.leaf_tables[s] for model in forest.trees for s in model.tree.segments]
+        blocks = [x[:, t.segment.columns] for t in tables]
+        extremes = [[block.min(), block.max()] for block in blocks]
+        assert [values.tolist() for values, _, _ in calls] == extremes
         calls.clear()
         score(forest, ds)
-        assert sorted(values.tolist() for values in calls if values.size == 2) == extremes
-        blocks = sorted(9 * seg.length for seg in segments for _ in range(4))
-        assert sorted(values.size for values in calls if values.size > 2) == blocks
+        assert len(calls) == len(tables) * (1 + 4)
+        for i, (leaf, block) in enumerate(zip(tables, blocks)):
+            (ends, _, _), *hashed = calls[5 * i : 5 * i + 5]
+            assert ends.tolist() == extremes[i]
+            assert [(offset, width) for _, offset, width in hashed] == [
+                (fn.offset, fn.width) for fn in leaf.fns
+            ]
+            for values, _, _ in hashed:
+                assert values.shape == (9 * leaf.segment.length,)
+                np.testing.assert_array_equal(values, np.sort(block, axis=None))
 
     def test_too_small_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(2), 4, 8)
@@ -224,8 +232,8 @@ def _unit_scale_200x96() -> LabeledDataset:
 def _adc_scale_300x100() -> LabeledDataset:
     """Triangle waves around 2048 with uniform noise, rounded like ADC counts.
 
-    Not normalized, so tables hold hundreds of keys and the mixed-radix
-    key-tuple codes of 10 hash functions exceed int64 before compaction.
+    Not normalized, so tables hold hundreds of keys, and the many ties
+    make a leaf's sorted values share key tuples in long runs.
     """
     rng = np.random.default_rng(100)
     t = np.arange(100) / 25.0 + rng.uniform(0.0, 4.0, size=(300, 1))

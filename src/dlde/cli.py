@@ -216,11 +216,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _load_detect_dataset(args: argparse.Namespace):
+def _load_dataset(args: argparse.Namespace, subseq_len: int | None):
+    """Read the input of any subcommand: windows of a raw series when
+    ``subseq_len`` is given, else a label-first dataset."""
     delimiter = _resolve_delimiter(args.delimiter)
-    if args.subseq_len is not None:
+    if subseq_len is not None:
         series = parse_raw_series(args.input, delimiter=delimiter)
-        dataset = window_series(series, args.subseq_len)
+        dataset = window_series(series, subseq_len)
     else:
         dataset = parse_labeled_file(
             args.input, anomaly_class=args.anomaly_class, delimiter=delimiter
@@ -231,7 +233,7 @@ def _load_detect_dataset(args: argparse.Namespace):
 
 
 def _run_detect(args: argparse.Namespace) -> None:
-    dataset = _load_detect_dataset(args)
+    dataset = _load_dataset(args, args.subseq_len)
     forest = fit(
         dataset,
         m=args.trees,
@@ -264,29 +266,26 @@ def _run_detect(args: argparse.Namespace) -> None:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
-        dataset_path=args.input,
-        anomaly_class=args.anomaly_class,
-        delimiter=_resolve_delimiter(args.delimiter),
         m=args.trees,
         h=args.hashes,
         slimit=args.slimit,
         hlimit=args.hlimit,
         repeats=args.repeats,
         base_seed=args.seed,
-        normalize=args.normalize,
     )
 
 
 def _run_evaluate(args: argparse.Namespace) -> None:
-    report = run_experiment(_experiment_config(args))
+    dataset = _load_dataset(args, None)
+    report = run_experiment(_experiment_config(args), dataset)
     config = _config_echo(
         args,
         {
             "anomaly_class": args.anomaly_class,
             "repeats": args.repeats,
             "timing": args.timing,
-            "n": report.config["n"],
-            "d": report.config["d"],
+            "n": dataset.n,
+            "d": dataset.d,
             "mean_auc": report.mean_auc,
             "std_auc": report.std_auc,
         },
@@ -310,7 +309,7 @@ def _parse_values(raw: str) -> list[int]:
 
 def _run_sweep(args: argparse.Namespace) -> None:
     values = _parse_values(args.values)
-    reports = sweep(_experiment_config(args), args.param, values)
+    reports = sweep(_experiment_config(args), args.param, values, _load_dataset(args, None))
     config = _config_echo(
         args,
         {

@@ -27,7 +27,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .hashing import LeafTables, bucket_keys, key_bounds
+from .hashing import LeafTables, bucket_keys
 from .tstree import Segment, TSTree
 
 __all__ = ["leaf_point_densities", "row_densities"]
@@ -35,6 +35,9 @@ __all__ = ["leaf_point_densities", "row_densities"]
 
 def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     """Point densities of every value of ``x`` inside one leaf segment.
+
+    Unchecked: ``x`` must be the matrix ``tables`` was built from, whose
+    keys :func:`dlde.hashing.build_leaf_tables` checked to fit int64.
 
     Args:
         x: The full (N, d) matrix being scored; the counts are its own.
@@ -48,7 +51,6 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     values = x[:, tables.segment.columns].T.ravel()  # time-major: value p is in column p // n
     order = values.argsort()
     ordered = values.take(order)
-    key_bounds(ordered[[0, -1]], tables.fns)  # NaN sorts last; checks every key
 
     # changes[j, p]: function j's key differs between sorted values p - 1
     # and p, and is true at both ends; cells end wherever any key changes.

@@ -5,6 +5,9 @@ refit with a fresh derived seed per run (50 runs by default) and report
 the per-run AUCs with their mean and spread.  Parameter sweeps rerun the
 same protocol for each value of the tree count or hash count, holding
 the base seed fixed so curves are comparable.
+
+The protocol scores a dataset the caller has loaded, as given: reading
+and z-normalizing input is the caller's job.
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .dataset import LabeledDataset, parse_labeled_file, znormalize
+from .dataset import LabeledDataset
 from .errors import ConfigurationError, MetricError
 from .forest import _tree_sums, fit, score
 from .seeding import RUN_STREAM, derive_seed
@@ -66,18 +68,14 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one repeated-run experiment."""
+    """The run protocol of one repeated-run experiment on a given dataset."""
 
-    dataset_path: str | Path | None = None
-    anomaly_class: float | None = None
-    delimiter: str | None = None
     m: int = 10
     h: int = 10
     slimit: int = 3
     hlimit: int | None = None
     repeats: int = 50
     base_seed: int = 0
-    normalize: bool = False
 
 
 @dataclass(frozen=True)
@@ -108,31 +106,17 @@ class ExperimentReport:
         return out
 
 
-def _load(config: ExperimentConfig) -> LabeledDataset:
-    if config.dataset_path is None:
-        raise ConfigurationError("experiment config has no dataset path")
-    dataset = parse_labeled_file(
-        config.dataset_path,
-        anomaly_class=config.anomaly_class,
-        delimiter=config.delimiter,
-    )
-    return znormalize(dataset) if config.normalize else dataset
-
-
-def run_experiment(
-    config: ExperimentConfig, dataset: LabeledDataset | None = None
-) -> ExperimentReport:
-    """Fit, score and compute AUC ``config.repeats`` times.
+def run_experiment(config: ExperimentConfig, dataset: LabeledDataset) -> ExperimentReport:
+    """Fit, score and compute AUC ``config.repeats`` times on ``dataset``.
 
     Run ``i`` uses a seed derived deterministically from
     ``config.base_seed`` and ``i``, so reports are reproducible across
     processes and runs are mutually independent.
 
     Args:
-        config: Experiment parameters.
-        dataset: Already-loaded dataset; when ``None`` it is read from
-            ``config.dataset_path`` (normalization flag applies only in
-            that case).
+        config: The run protocol.
+        dataset: The labeled dataset, scored as given: z-normalize it
+            first (:func:`dlde.znormalize`) if it is not near unit scale.
 
     Raises:
         ConfigurationError: ``repeats`` < 1 or unusable parameters.
@@ -142,7 +126,7 @@ def run_experiment(
 
 
 def _runs(
-    config: ExperimentConfig, ms: list[int], dataset: LabeledDataset | None
+    config: ExperimentConfig, ms: list[int], dataset: LabeledDataset
 ) -> list[ExperimentReport]:
     """One report per tree count in ``ms``, in order, from one forest per run.
 
@@ -152,8 +136,6 @@ def _runs(
     """
     if config.repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {config.repeats}")
-    if dataset is None:
-        dataset = _load(config)
     labels = dataset.labels
     if len(set(labels.tolist())) < 2:
         raise MetricError("dataset labels contain a single class; AUC undefined")
@@ -177,8 +159,7 @@ def _runs(
             seconds[m].append(time.perf_counter() - started)
         seeds.append(run_seed)
 
-    path = None if config.dataset_path is None else str(config.dataset_path)
-    echo = {**vars(config), "dataset_path": path, "n": dataset.n, "d": dataset.d}
+    echo = {**vars(config), "n": dataset.n, "d": dataset.d}
     return [
         ExperimentReport(aucs=tuple(aucs[m]), seeds=tuple(seeds),
                          seconds=tuple(seconds[m]), config={**echo, "m": m})
@@ -190,9 +171,9 @@ def sweep(
     config: ExperimentConfig,
     param: str,
     values: Sequence[int],
-    dataset: LabeledDataset | None = None,
+    dataset: LabeledDataset,
 ) -> list[ExperimentReport]:
-    """Run the experiment once per value of ``param`` ("m" or "h").
+    """Run the experiment on ``dataset`` once per value of ``param`` ("m" or "h").
 
     Every report derives its run seeds from the same base seed, so the
     resulting curve isolates the effect of the swept parameter.  Reports
@@ -212,8 +193,6 @@ def sweep(
     for v in values:
         if int(v) != v or int(v) < 1:
             raise ConfigurationError(f"invalid value for {param}: {v!r} (need integer >= 1)")
-    if dataset is None:
-        dataset = _load(config)
     if param == "m":
         return _runs(config, [int(v) for v in values], dataset)
     return [run_experiment(replace(config, h=int(v)), dataset=dataset) for v in values]

@@ -84,9 +84,9 @@ def bucket_keys(values: np.ndarray, offset, width) -> np.ndarray:
     return np.floor(keys, out=keys)
 
 
-def key_bounds(values: np.ndarray, fns: tuple[HashFn, ...] | list[HashFn]) -> list[list[float]]:
-    """``[lo, hi]``, the smallest and largest bucket key of non-empty
-    ``values``, per function of ``fns``: the keys of the two extremes.
+def key_bounds(values: np.ndarray, fns: tuple[HashFn, ...] | list[HashFn]) -> None:
+    """Check that every bucket key of non-empty ``values`` under every
+    function of ``fns`` fits int64, from the keys of the two extremes.
 
     Raises:
         ConfigurationError: a value is NaN or infinite, or a key falls
@@ -106,7 +106,6 @@ def key_bounds(values: np.ndarray, fns: tuple[HashFn, ...] | list[HashFn]) -> li
             f"the int64 range under width {fns[admitted.index(False)].width:.3g}; "
             "the data must be near unit scale, so z-normalize the rows (--normalize)"
         )
-    return bounds
 
 
 def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:

@@ -310,7 +310,7 @@ def test_criterion_8_segmentation_beats_one_leaf():
     only seed tried."""
     ds = _jittered_sines(0)
     split, whole = (
-        run_experiment(ExperimentConfig(repeats=10, hlimit=hlimit, normalize=True), dataset=ds)
+        run_experiment(ExperimentConfig(repeats=10, hlimit=hlimit), dataset=ds)
         for hlimit in (None, 0)
     )
     gap = split.mean_auc - whole.mean_auc

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import dlde
-from dlde import LabeledDataset, write_labeled_file
+from dlde import (
+    ExperimentConfig,
+    LabeledDataset,
+    parse_labeled_file,
+    run_experiment,
+    sweep,
+    write_labeled_file,
+    znormalize,
+)
 from dlde.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_METRIC, EXIT_OK, main
 
 from conftest import heartbeat_series, random_dataset
@@ -337,7 +345,7 @@ class TestSweep:
 
 
 # a 1e200 spike overflows a row's std, two values of 1.7e308 its mean
-@pytest.mark.parametrize("command", ["detect", "evaluate"])
+@pytest.mark.parametrize("command", ["detect", "evaluate", "sweep"])
 @pytest.mark.parametrize("values", [[1e200], [1.7e308, 1.7e308]])
 def test_normalize_rejects_overflowing_rows(tmp_path, capsys, command, values):
     ds = random_dataset(np.random.default_rng(6), 12, 8, anomalies=3)
@@ -347,11 +355,38 @@ def test_normalize_rejects_overflowing_rows(tmp_path, capsys, command, values):
     write_labeled_file(type(ds)(x, ds.labels), path)
     out = tmp_path / "out.csv"
     args = [command, "--input", str(path), "--normalize", "--output", str(out)]
-    if command == "evaluate":
+    if command != "detect":
         args += ["--anomaly-class", "1", "--repeats", "2"]
+    if command == "sweep":
+        args += ["--param", "m", "--values", "1"]
     assert main(args) == EXIT_CONFIG
     assert "dlde: configuration error: row 3: mean or std overflows" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the CLI reads and normalizes the input; the protocol scores what it is given
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_normalize_reaches_the_protocol(tmp_path, command):
+    ds = random_dataset(np.random.default_rng(2), 16, 8, anomalies=4)
+    path = tmp_path / "scaled.csv"
+    write_labeled_file(type(ds)(ds.subsequences * 40.0 + 100.0, ds.labels), path)
+    normalized = znormalize(parse_labeled_file(path, anomaly_class=1))
+    config = ExperimentConfig(m=2, h=2, repeats=3, base_seed=4)
+    args = [command, "--input", str(path), "--anomaly-class", "1", "--repeats", "3",
+            "--trees", "2", "--hashes", "2", "--seed", "4"]
+    if command == "evaluate":
+        column, expected = "auc", list(run_experiment(config, normalized).aucs)
+    else:
+        args += ["--param", "m", "--values", "1,2"]
+        column = "mean_auc"
+        expected = [r.mean_auc for r in sweep(config, "m", [1, 2], normalized)]
+    norm_out, raw_out = tmp_path / "norm.csv", tmp_path / "raw.csv"
+    assert main(args + ["--normalize", "--output", str(norm_out)]) == EXIT_OK
+    assert main(args + ["--output", str(raw_out)]) == EXIT_OK
+    _, norm_rows = _read_csv(norm_out)
+    _, raw_rows = _read_csv(raw_out)
+    assert [float(r[column]) for r in norm_rows] == expected
+    assert [float(r[column]) for r in raw_rows] != expected
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -70,6 +71,13 @@ def test_per_point_path_not_exported():
     # not exported, but still read as dlde.<name> by the benchmark's oracle check
     assert dlde.leaves is leaves
     assert dlde.leaf_point_densities is leaf_point_densities
+
+
+def test_experiment_config_holds_only_the_run_protocol():
+    # reading, windowing and normalizing input is the CLI's job
+    assert [f.name for f in dataclasses.fields(dlde.ExperimentConfig)] == [
+        "m", "h", "slimit", "hlimit", "repeats", "base_seed"
+    ]
 
 
 def test_readme_names_are_exported():

@@ -16,7 +16,6 @@ from dlde import (
     run_experiment,
     score,
     sweep,
-    write_labeled_file,
 )
 from dlde.seeding import RUN_STREAM, derive_seed
 
@@ -117,14 +116,6 @@ class TestRunExperiment:
         timed = report.rows(include_seconds=True)
         assert all("seconds" in r for r in timed)
 
-    def test_loads_from_file_with_normalization(self, tmp_path):
-        ds = random_dataset(np.random.default_rng(5), 20, 8, anomalies=6)
-        path = tmp_path / "data.csv"
-        write_labeled_file(ds, path)
-        cfg = _config(dataset_path=path, anomaly_class=1, normalize=True, repeats=2)
-        report = run_experiment(cfg)
-        assert len(report.aucs) == 2
-
     def test_zero_repeats_rejected(self):
         ds = random_dataset(np.random.default_rng(6), 12, 8, anomalies=2)
         with pytest.raises(ConfigurationError, match="repeats"):
@@ -134,10 +125,6 @@ class TestRunExperiment:
         ds = random_dataset(np.random.default_rng(7), 12, 8, anomalies=0)
         with pytest.raises(MetricError, match="single class"):
             run_experiment(_config(), dataset=ds)
-
-    def test_missing_dataset_path_rejected(self):
-        with pytest.raises(ConfigurationError, match="dataset path"):
-            run_experiment(_config())
 
 
 class TestSweep:

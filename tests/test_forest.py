@@ -50,8 +50,8 @@ class TestFit:
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
         # fit hashes only each block's two extremes, under all functions in
-        # one call.  score, leaf by leaf, hashes the extremes again, then the
-        # leaf's sorted values once per function, in order, and nothing else
+        # one call.  score, leaf by leaf, hashes the leaf's sorted values once
+        # per function, in order, and nothing else
         calls = []
 
         def counting(values, offset, width):
@@ -69,10 +69,9 @@ class TestFit:
         assert [values.tolist() for values, _, _ in calls] == extremes
         calls.clear()
         score(forest, ds)
-        assert len(calls) == len(tables) * (1 + 4)
+        assert len(calls) == len(tables) * 4
         for i, (leaf, block) in enumerate(zip(tables, blocks)):
-            (ends, _, _), *hashed = calls[5 * i : 5 * i + 5]
-            assert ends.tolist() == extremes[i]
+            hashed = calls[4 * i : 4 * i + 4]
             assert [(offset, width) for _, offset, width in hashed] == [
                 (fn.offset, fn.width) for fn in leaf.fns
             ]

@@ -7,7 +7,7 @@ import pytest
 
 from dlde import ConfigurationError, LabeledDataset
 from dlde.density import leaf_point_densities
-from dlde.hashing import HashFn, build_leaf_tables, hash_keys, sample_hash_fn
+from dlde.hashing import HashFn, build_leaf_tables, hash_keys, key_bounds, sample_hash_fn
 from dlde.seeding import HASH_STREAM, spawn_rng
 from dlde.tstree import Segment
 
@@ -207,15 +207,15 @@ class TestBuildLeafTables:
 
     # Exact texts, recorded before the range check moved to one array pass
     # over each block's extremes.  The first failing function in order is
-    # named; datasets reject NaN, so only a direct kernel call can meet one.
+    # named; datasets reject NaN, so only a direct key_bounds call can meet
+    # one.  The scoring kernel checks nothing: fit checked every leaf block.
     def test_kernel_off_scale_message_names_first_failing_function(self):
         ds = random_dataset(np.random.default_rng(3), 8, 8)
         fns = [HashFn(0.9, 0.0), HashFn(0.4, 0.1), HashFn(0.2, 0.1)]
-        tables = build_leaf_tables(ds, Segment(2, 5), fns)
         x = ds.subsequences.copy()
         x[3, 2] = 2.0**62
         with pytest.raises(ConfigurationError) as exc:
-            leaf_point_densities(x, tables)
+            build_leaf_tables(LabeledDataset(x, ds.labels), Segment(2, 5), fns)
         assert str(exc.value) == (
             "values up to 4.61e+18 give bucket keys outside the int64 range under "
             "width 0.4; the data must be near unit scale, so z-normalize the rows "
@@ -224,11 +224,10 @@ class TestBuildLeafTables:
 
     def test_kernel_nan_message(self):
         ds = random_dataset(np.random.default_rng(3), 8, 8)
-        tables = build_leaf_tables(ds, Segment(2, 5), [HashFn(0.5, 0.1), HashFn(0.3, 0.2)])
         x = ds.subsequences.copy()
         x[3, 2] = np.nan
         with pytest.raises(ConfigurationError) as exc:
-            leaf_point_densities(x, tables)
+            key_bounds(x[:, Segment(2, 5).columns], [HashFn(0.5, 0.1), HashFn(0.3, 0.2)])
         assert str(exc.value) == "NaN or infinite values have no bucket key"
 
     def test_segment_outside_axis_rejected(self):

@@ -10,11 +10,9 @@ density are anomalies.
 
 from .dataset import (
     LabeledDataset,
-    RawSeries,
     parse_labeled_file,
     parse_raw_series,
     window_series,
-    write_labeled_file,
     znormalize,
 )
 from .errors import (
@@ -25,7 +23,7 @@ from .errors import (
     MetricError,
 )
 from .evaluation import ExperimentConfig, ExperimentReport, auc, run_experiment, sweep
-from .forest import ForestParams, ScoreVector, TSForest, anomaly_scores, fit, score
+from .forest import ForestParams, ScoreVector, TSForest, fit, score
 
 # not in __all__, but the oracle check in benchmarks/run.py reads both as dlde.<name>
 from .density import leaf_point_densities
@@ -36,18 +34,15 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LabeledDataset",
-    "RawSeries",
     "parse_labeled_file",
     "parse_raw_series",
     "window_series",
-    "write_labeled_file",
     "znormalize",
     "ForestParams",
     "TSForest",
     "ScoreVector",
     "fit",
     "score",
-    "anomaly_scores",
     "auc",
     "ExperimentConfig",
     "ExperimentReport",

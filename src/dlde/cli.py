@@ -46,7 +46,8 @@ def _resolve_delimiter(raw: str | None) -> str | None:
     return _DELIMITER_NAMES.get(raw, raw)
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """The input, output and model flags every subcommand takes."""
     parser.add_argument("--input", required=True, help="input data file")
     parser.add_argument(
         "--delimiter",
@@ -58,9 +59,6 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="artifact format"
     )
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trees", type=int, default=10, metavar="M", help="ensemble size")
     parser.add_argument(
         "--hashes", type=int, default=10, metavar="H", help="hash functions per leaf"
@@ -82,6 +80,22 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
+    """The repeated-run protocol flags of evaluate and sweep."""
+    parser.add_argument(
+        "--anomaly-class",
+        type=float,
+        required=True,
+        help="label value marking anomalies",
+    )
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=50,
+        help="number of seeded fit/score runs (per parameter value in a sweep)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlde",
@@ -93,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser(
         "detect", help="score every subsequence of a dataset or windowed raw series"
     )
-    _add_io_flags(p_detect)
-    _add_model_flags(p_detect)
+    _add_common_flags(p_detect)
     p_detect.add_argument(
         "--subseq-len",
         type=int,
@@ -115,17 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser(
         "evaluate", help="repeated-run AUC protocol against ground-truth labels"
     )
-    _add_io_flags(p_eval)
-    _add_model_flags(p_eval)
-    p_eval.add_argument(
-        "--anomaly-class",
-        type=float,
-        required=True,
-        help="label value marking anomalies",
-    )
-    p_eval.add_argument(
-        "--repeats", type=int, default=50, help="number of seeded fit/score runs"
-    )
+    _add_common_flags(p_eval)
+    _add_protocol_flags(p_eval)
     p_eval.add_argument(
         "--timing",
         action="store_true",
@@ -137,17 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="evaluate repeatedly while varying the tree or hash count"
     )
-    _add_io_flags(p_sweep)
-    _add_model_flags(p_sweep)
-    p_sweep.add_argument(
-        "--anomaly-class",
-        type=float,
-        required=True,
-        help="label value marking anomalies",
-    )
-    p_sweep.add_argument(
-        "--repeats", type=int, default=50, help="runs per parameter value"
-    )
+    _add_common_flags(p_sweep)
+    _add_protocol_flags(p_sweep)
     p_sweep.add_argument(
         "--param", choices=("m", "h"), required=True, help="parameter to vary"
     )

@@ -22,11 +22,9 @@ from .errors import ConfigurationError, EmptyInputError, InputFormatError
 
 __all__ = [
     "LabeledDataset",
-    "RawSeries",
     "parse_labeled_file",
     "parse_raw_series",
     "window_series",
-    "write_labeled_file",
     "znormalize",
 ]
 
@@ -79,26 +77,6 @@ class LabeledDataset:
     def d(self) -> int:
         """Subsequence length in samples."""
         return self.subsequences.shape[1]
-
-
-@dataclass(frozen=True)
-class RawSeries:
-    """A single long time series."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64).ravel()
-        if v.size == 0:
-            raise ValueError("series must be non-empty")
-        if not np.isfinite(v).all():
-            raise ValueError("series contains non-finite values")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def _detect_delimiter(line: str, delimiter: str | None) -> str:
@@ -211,10 +189,16 @@ def parse_labeled_file(
     return LabeledDataset(rows[:, 1:], labels)
 
 
-def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> RawSeries:
-    """Read an unlabeled series: all numeric fields of all lines, in order.
+def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> np.ndarray:
+    """Read an unlabeled series: all numeric fields of all lines, in order,
+    as a float64 vector.
 
     Accepts both one-value-per-line files and delimited multi-value lines.
+
+    Raises:
+        EmptyInputError: No field holds a value.
+        InputFormatError: A non-numeric or non-finite field, reported with
+            its line and column numbers.
     """
     # No per-line check comes first here, so the whole file converts in one
     # batch, streamed; on failure a second read walks it field by field.
@@ -229,10 +213,12 @@ def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> RawSe
                 for col, f in enumerate(line.split(sep), start=1)
                 if f.strip()
             ]
-    return RawSeries(np.asarray(values))
+    if not values:
+        raise EmptyInputError(f"{path}: no values found")
+    return np.asarray(values)
 
 
-def window_series(series: RawSeries | np.ndarray, s: int) -> LabeledDataset:
+def window_series(series: np.ndarray, s: int) -> LabeledDataset:
     """Cut a series into consecutive non-overlapping windows of length ``s``.
 
     Produces ``floor(len(series) / s)`` windows in temporal order; a
@@ -242,7 +228,7 @@ def window_series(series: RawSeries | np.ndarray, s: int) -> LabeledDataset:
     Raises:
         ConfigurationError: ``s`` is below 4 or exceeds the series length.
     """
-    values = series.values if isinstance(series, RawSeries) else np.asarray(series, float).ravel()
+    values = np.asarray(series, float).ravel()
     if s < 4:
         raise ConfigurationError(f"window length must be >= 4, got {s}")
     if s > values.size:
@@ -282,17 +268,3 @@ def znormalize(dataset: LabeledDataset) -> LabeledDataset:
     out /= np.where(std == 0.0, 1.0, std)
     out[flat] = 0.0
     return LabeledDataset(out, dataset.labels)
-
-
-def write_labeled_file(
-    dataset: LabeledDataset, path: str | Path, *, delimiter: str = ","
-) -> None:
-    """Write a dataset back to the label-first format.
-
-    Values are written with ``repr`` so a parse/write/parse round trip
-    reproduces the matrix exactly.
-    """
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for label, row in zip(dataset.labels, dataset.subsequences):
-            fields = [str(int(label))] + [repr(float(v)) for v in row]
-            fh.write(delimiter.join(fields) + "\n")

@@ -30,7 +30,6 @@ __all__ = [
     "HashFn",
     "LeafTables",
     "sample_hash_fn",
-    "hash_keys",
     "build_leaf_tables",
 ]
 
@@ -106,21 +105,6 @@ def key_bounds(values: np.ndarray, fns: tuple[HashFn, ...] | list[HashFn]) -> No
             f"the int64 range under width {fns[admitted.index(False)].width:.3g}; "
             "the data must be near unit scale, so z-normalize the rows (--normalize)"
         )
-
-
-def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
-    """Bucket key ``floor((value + offset) / width)`` of every value, as int64.
-
-    Exact: the float64 floor of every admitted key fits int64 without
-    rounding, so it equals the key computed in Python integers.
-
-    Raises:
-        ConfigurationError: as :func:`key_bounds`.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size:
-        key_bounds(values, (fn,))
-    return bucket_keys(values.ravel(), fn.offset, fn.width).astype(np.int64).reshape(values.shape)
 
 
 @dataclass(frozen=True, eq=False)

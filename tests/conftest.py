@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from dlde import LabeledDataset
+from dlde.hashing import HashFn, bucket_keys, key_bounds
 
 # a few dozen examples per property; fits vary too much in time for a deadline
 settings.register_profile("dlde", max_examples=40, deadline=None)
@@ -23,6 +26,35 @@ def random_dataset(
         x[idx] += 3.0
         labels[idx] = 1
     return LabeledDataset(x, labels)
+
+
+def write_labeled_file(
+    dataset: LabeledDataset, path: str | Path, *, delimiter: str = ","
+) -> None:
+    """Write a dataset in the label-first format.
+
+    Values are written with ``repr`` so a parse/write/parse round trip
+    reproduces the matrix exactly.
+    """
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for label, row in zip(dataset.labels, dataset.subsequences):
+            fields = [str(int(label))] + [repr(float(v)) for v in row]
+            fh.write(delimiter.join(fields) + "\n")
+
+
+def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
+    """Bucket key ``floor((value + offset) / width)`` of every value, as int64.
+
+    Exact: the float64 floor of every admitted key fits int64 without
+    rounding, so it equals the key computed in Python integers.
+
+    Raises:
+        ConfigurationError: as ``dlde.hashing.key_bounds``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.size:
+        key_bounds(values, (fn,))
+    return bucket_keys(values.ravel(), fn.offset, fn.width).astype(np.int64).reshape(values.shape)
 
 
 def tree_model_state(model) -> tuple:

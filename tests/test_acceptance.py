@@ -28,7 +28,6 @@ from dlde import (
     ExperimentConfig,
     LabeledDataset,
     MetricError,
-    anomaly_scores,
     auc,
     fit,
     parse_labeled_file,
@@ -38,9 +37,10 @@ from dlde import (
     window_series,
 )
 from dlde.density import row_densities
+from dlde.forest import anomaly_scores
 from dlde.tstree import build_tstree, leaves
 
-from conftest import heartbeat_series, random_dataset
+from conftest import heartbeat_series, random_dataset, write_labeled_file
 from reference import forest_scores, is_full_binary, tree_row_densities
 
 DATA_DIR = Path(os.environ.get("DLDE_DATA_DIR", Path(__file__).resolve().parents[1] / "data"))
@@ -233,7 +233,7 @@ def test_criterion_5_cli_determinism(tmp_path):
     x[:8] += 2.5
     labels[:8] = 1
     data = tmp_path / "data.csv"
-    dlde.write_labeled_file(LabeledDataset(x, labels), data)
+    write_labeled_file(LabeledDataset(x, labels), data)
 
     env = dict(os.environ)
     src = str(Path(dlde.__file__).resolve().parents[1])

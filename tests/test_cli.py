@@ -17,12 +17,11 @@ from dlde import (
     parse_labeled_file,
     run_experiment,
     sweep,
-    write_labeled_file,
     znormalize,
 )
 from dlde.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_METRIC, EXIT_OK, main
 
-from conftest import heartbeat_series, random_dataset
+from conftest import heartbeat_series, random_dataset, write_labeled_file
 
 
 def _write_dataset(tmp_path, n=20, d=10, anomalies=5, seed=0, name="data.csv"):
@@ -191,6 +190,15 @@ class TestDetect:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == f"dlde: input error: {where}: not UTF-8 text\n"
         assert not (tmp_path / "o.csv").exists()
+
+    def test_raw_input_of_only_separators_exits_input(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_text(",\n,,\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = main(["detect", "--input", str(path), "--subseq-len", "4", "--output", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"dlde: input error: {path}: no values found\n"
+        assert not out.exists()
 
 
 class TestEvaluate:

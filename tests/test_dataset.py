@@ -8,13 +8,13 @@ from dlde import (
     EmptyInputError,
     InputFormatError,
     LabeledDataset,
-    RawSeries,
     parse_labeled_file,
     parse_raw_series,
     window_series,
-    write_labeled_file,
     znormalize,
 )
+
+from conftest import write_labeled_file
 
 
 class TestParseLabeledFile:
@@ -142,12 +142,13 @@ class TestParseRawSeries:
     def test_one_value_per_line(self, labeled_file):
         path = labeled_file(["1.5", "2.5", "-3.0"], name="series.txt")
         series = parse_raw_series(path)
-        np.testing.assert_array_equal(series.values, [1.5, 2.5, -3.0])
+        assert series.dtype == np.float64 and series.ndim == 1
+        np.testing.assert_array_equal(series, [1.5, 2.5, -3.0])
 
     def test_multi_value_lines_flatten_in_order(self, labeled_file):
         path = labeled_file(["1,2,3", "4,5"], name="series.txt")
         series = parse_raw_series(path)
-        np.testing.assert_array_equal(series.values, [1, 2, 3, 4, 5])
+        np.testing.assert_array_equal(series, [1, 2, 3, 4, 5])
 
     def test_non_numeric_named(self, labeled_file):
         path = labeled_file(["1,2", "3,x"], name="series.txt")
@@ -164,13 +165,13 @@ class TestParseRawSeries:
         plain = parse_raw_series(labeled_file(lines, name="series.txt"))
         path = tmp_path / "bom.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
-        np.testing.assert_array_equal(parse_raw_series(path).values, plain.values)
+        np.testing.assert_array_equal(parse_raw_series(path), plain)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_line_numbers_under_each_line_ending(self, tmp_path, ending):
         path = tmp_path / "series.txt"
         path.write_bytes(ending.join(["1.5", "", "2.5", " ", "3,4"]).encode() + ending.encode())
-        np.testing.assert_array_equal(parse_raw_series(path).values, [1.5, 2.5, 3, 4])
+        np.testing.assert_array_equal(parse_raw_series(path), [1.5, 2.5, 3, 4])
         path.write_bytes(ending.join(["1.5", "", "2.5", " ", "3,x"]).encode())
         with pytest.raises(InputFormatError, match="line 5, column 2"):
             parse_raw_series(path)
@@ -181,41 +182,50 @@ class TestParseRawSeries:
         with pytest.raises(EmptyInputError):
             parse_raw_series(path)
 
+    @pytest.mark.parametrize("text", [",\n,,\n", " , ,\r\n\t\n"])
+    def test_only_separators(self, tmp_path, text):
+        path = tmp_path / "series.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmptyInputError, match="no values found"):
+            parse_raw_series(path)
+
 
 class TestWindowSeries:
     def test_exact_division(self):
-        ds = window_series(RawSeries(np.arange(20.0)), 5)
+        ds = window_series(np.arange(20.0), 5)
         assert (ds.n, ds.d) == (4, 5)
         np.testing.assert_array_equal(ds.subsequences[0], [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(ds.subsequences[3], [15, 16, 17, 18, 19])
 
     def test_remainder_dropped(self):
-        ds = window_series(RawSeries(np.arange(22.0)), 5)
+        ds = window_series(np.arange(22.0), 5)
         assert ds.n == 4
         assert ds.subsequences.max() == 19  # samples 21-22 dropped
 
     def test_fifteen_windows_per_minute(self):
         # one minute at 100 Hz, one window per second-long cycle
-        ds = window_series(RawSeries(np.random.default_rng(0).normal(size=1500)), 100)
+        ds = window_series(np.random.default_rng(0).normal(size=1500), 100)
         assert ds.n == 15
 
     def test_concatenation_equals_prefix(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=43)
-        ds = window_series(RawSeries(values), 6)
+        ds = window_series(values, 6)
         np.testing.assert_array_equal(ds.subsequences.ravel(), values[: 7 * 6])
 
     def test_labels_all_zero(self):
-        ds = window_series(RawSeries(np.arange(30.0)), 6)
+        ds = window_series(np.arange(30.0), 6)
         assert ds.labels.sum() == 0
 
     def test_window_longer_than_series(self):
         with pytest.raises(ConfigurationError):
-            window_series(RawSeries(np.arange(10.0)), 11)
+            window_series(np.arange(10.0), 11)
+        with pytest.raises(ConfigurationError):
+            window_series(np.array([]), 4)
 
     def test_window_too_short(self):
         with pytest.raises(ConfigurationError):
-            window_series(RawSeries(np.arange(10.0)), 3)
+            window_series(np.arange(10.0), 3)
 
     def test_accepts_plain_array(self):
         ds = window_series(np.arange(12.0), 4)
@@ -293,7 +303,3 @@ class TestContainers:
         ds = LabeledDataset([[1.0, 2.0, 3.0, 4.0]], [0])
         with pytest.raises(ValueError):
             ds.subsequences[0, 0] = 9.0
-
-    def test_raw_series_rejects_empty(self):
-        with pytest.raises(ValueError):
-            RawSeries(np.array([]))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import dlde.density
 import dlde.hashing
-from dlde import ConfigurationError, LabeledDataset, anomaly_scores, fit, score
+from dlde import ConfigurationError, LabeledDataset, fit, score
 from dlde.density import leaf_point_densities
-from dlde.forest import _tree_sums
+from dlde.forest import _tree_sums, anomaly_scores
 from dlde.hashing import bucket_keys
 from dlde.tstree import Segment, leaves
 

@@ -7,11 +7,11 @@ import pytest
 
 from dlde import ConfigurationError, LabeledDataset
 from dlde.density import leaf_point_densities
-from dlde.hashing import HashFn, build_leaf_tables, hash_keys, key_bounds, sample_hash_fn
+from dlde.hashing import HashFn, build_leaf_tables, key_bounds, sample_hash_fn
 from dlde.seeding import HASH_STREAM, spawn_rng
 from dlde.tstree import Segment
 
-from conftest import random_dataset
+from conftest import hash_keys, random_dataset
 from reference import hash_value
 
 

@@ -4,11 +4,16 @@ Input files follow the common label-first convention: one record per line,
 the class label in the first field, the sample values in the remaining
 fields, comma or tab separated.  Long unlabeled series are cut into
 fixed-length windows with :func:`window_series`.
+
+numpy's C text reader reads each file first.  A file it refuses is walked
+field by field, which accepts it as ``float()`` does or names the first bad
+field.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
 from collections.abc import Iterable
 from contextlib import contextmanager
@@ -136,6 +141,77 @@ def _data_lines(path: str | Path, delimiter: str | None):
         raise
 
 
+# Whitespace to numpy's C reader, which strips them from a field's ends, but
+# not to float(), which refuses such a field.
+_C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _c_table(path: str | Path, sep: str) -> np.ndarray | None:
+    """Every field of the file as a 2-D float64 table, read by numpy's C
+    reader, or ``None`` when it refuses the file or a value is not finite.
+
+    Where it accepts, each value is ``float()``'s: both convert through
+    CPython's string-to-double routine.  It refuses what only ``float()``
+    reads (``1_0``, non-ASCII digits), ragged rows, empty fields and
+    whitespace-only lines; the field walk then decides what the file holds.
+    """
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if any(c in chunk for c in _C_ONLY_SPACE):
+                return None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = np.loadtxt(path, delimiter=sep, comments=None, encoding="utf-8-sig", ndmin=2)
+    except (TypeError, ValueError):  # TypeError: a newline separator
+        return None
+    return None if caught or not np.isfinite(table).all() else table
+
+
+def _walk_labeled(sep: str, lines: Iterable[tuple[int, str]]) -> np.ndarray:
+    """The label-and-values rows of the numbered lines, read field by field;
+    an error names the first bad line and, for a bad field, its column."""
+    width: int | None = None
+    table = array("d")  # label and values of every row, 8 bytes a field
+    for lineno, line in lines:
+        fields = line.split(sep)
+        if width is None:
+            width = len(fields)
+            if width < 5:
+                raise InputFormatError(
+                    f"line {lineno}: expected a label plus at least 4 values, "
+                    f"found {width} field(s)"
+                )
+        elif len(fields) != width:
+            raise InputFormatError(
+                f"line {lineno}: expected {width} fields, found {len(fields)}"
+            )
+        row = _finite_floats(fields)
+        if row is None:
+            row = [_parse_field(f, lineno, col) for col, f in enumerate(fields, start=1)]
+        table.fromlist(row)
+    return np.frombuffer(table).reshape(-1, width)
+
+
+def _walk_raw(path: str | Path, delimiter: str | None) -> list[float]:
+    """The values of every field of every line, in order, as floats; an
+    error names the first bad field's line and column."""
+    # No per-line check comes first here, so the whole file converts in one
+    # batch, streamed; on failure a second read walks it field by field.
+    # Stray padding around separators is not a value, but is a column.
+    with _data_lines(path, delimiter) as (sep, lines):
+        values = _finite_floats(f for _, line in lines for f in line.split(sep) if f.strip())
+    if values is None:
+        with _data_lines(path, delimiter) as (sep, lines):
+            values = [
+                _parse_field(f, lineno, col)
+                for lineno, line in lines
+                for col, f in enumerate(line.split(sep), start=1)
+                if f.strip()
+            ]
+    return values
+
+
 def parse_labeled_file(
     path: str | Path,
     *,
@@ -160,28 +236,10 @@ def parse_labeled_file(
         InputFormatError: Ragged rows or non-numeric fields, reported with
             line (and column) numbers.
     """
-    width: int | None = None
-    table = array("d")  # label and values of every row, 8 bytes a field
     with _data_lines(path, delimiter) as (sep, lines):
-        for lineno, line in lines:
-            fields = line.split(sep)
-            if width is None:
-                width = len(fields)
-                if width < 5:
-                    raise InputFormatError(
-                        f"line {lineno}: expected a label plus at least 4 values, "
-                        f"found {width} field(s)"
-                    )
-            elif len(fields) != width:
-                raise InputFormatError(
-                    f"line {lineno}: expected {width} fields, found {len(fields)}"
-                )
-            row = _finite_floats(fields)
-            if row is None:
-                row = [_parse_field(f, lineno, col) for col, f in enumerate(fields, start=1)]
-            table.fromlist(row)
-
-    rows = np.frombuffer(table).reshape(-1, width)
+        rows = _c_table(path, sep)
+        if rows is None or rows.shape[1] < 5:
+            rows = _walk_labeled(sep, lines)
     if anomaly_class is None:
         labels = np.zeros(len(rows), dtype=np.int64)
     else:
@@ -200,19 +258,11 @@ def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> np.nd
         InputFormatError: A non-numeric or non-finite field, reported with
             its line and column numbers.
     """
-    # No per-line check comes first here, so the whole file converts in one
-    # batch, streamed; on failure a second read walks it field by field.
-    # Stray padding around separators is not a value, but is a column.
-    with _data_lines(path, delimiter) as (sep, lines):
-        values = _finite_floats(f for _, line in lines for f in line.split(sep) if f.strip())
-    if values is None:
-        with _data_lines(path, delimiter) as (sep, lines):
-            values = [
-                _parse_field(f, lineno, col)
-                for lineno, line in lines
-                for col, f in enumerate(line.split(sep), start=1)
-                if f.strip()
-            ]
+    with _data_lines(path, delimiter) as (sep, _):
+        table = _c_table(path, sep)
+    if table is not None:
+        return table.ravel()
+    values = _walk_raw(path, delimiter)
     if not values:
         raise EmptyInputError(f"{path}: no values found")
     return np.asarray(values)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dlde import dataset
 from dlde import (
     ConfigurationError,
     EmptyInputError,
@@ -190,12 +195,189 @@ class TestParseRawSeries:
             parse_raw_series(path)
 
 
+# Field text numpy's C reader and float() may read differently: padding,
+# underscores, non-ASCII digits and spaces, NUL, \f and the separator
+# controls \x1c-\x1f, quotes, '#', non-finite, overflowing and subnormal
+# values.
+_ODD_FIELDS = [
+    "", " ", "\t", "1_0", "１", "２.5", "\x00", "1\x00", "\f1", "1\f", "1\x1c", "\x1d2",
+    "\x1e", "3\x1f", '"1"', "#", "1#", "nan", "inf", "-inf", "1e400", "-1e400", "4.9e-324",
+    "2.5e-320", "\xa01", "1\u3000", " 2 ", "1.5 2", "0x10", "1j", "+.5", "5.", "\x85", "1e",
+]
+_CLEAN_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(min_value=-1e-307, max_value=1e-307).map(repr),
+    st.builds(  # 25-digit mantissas
+        "{}{}.{}{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.integers(0, 10**12),
+        st.integers(10**24, 10**25 - 1),
+        st.sampled_from(["", "e-320", "e-308", "E+300", "e-330"]),
+    ),
+)
+
+
+@st.composite
+def delimited_files(draw) -> tuple[bytes, str | None]:
+    """The bytes of a delimited file, and the ``delimiter`` to parse it with.
+
+    Half the files hold equal-width rows of plain numbers, which the C
+    reader mostly reads; the other half mix in odd fields, ragged rows,
+    blank and whitespace-only lines and a byte that is not UTF-8.
+    """
+    delimiter = draw(st.sampled_from(
+        [None, None, ",", "\t", ";", " ", "\x00", "\x1c", "e", ".", "#", '"', "\n", ";;"]
+    ))
+    sep = delimiter
+    if sep in (None, ";;"):
+        sep = draw(st.sampled_from([",", "\t"]))
+    odd = draw(st.booleans())
+    fields = st.one_of(_CLEAN_FIELDS, st.sampled_from(_ODD_FIELDS)) if odd else _CLEAN_FIELDS
+    width = draw(st.integers(1, 7))
+    widths = st.integers(max(1, width - 1), width + 1) if odd else st.just(width)
+    rows = st.lists(widths.flatmap(lambda w: st.lists(fields, min_size=w, max_size=w)), min_size=1, max_size=8)
+    lines = [sep.join(row) for row in draw(rows)]
+    if odd:
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\f", "\x1c", "\x85"])))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (ending.join(lines) + draw(st.sampled_from([ending, ""]))).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if odd and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, delimiter
+
+
+def _outcome(parse, path, **kwargs) -> list | tuple:
+    """Dtype, shape and bytes of what ``parse`` returns, or the type and
+    message of what it raises."""
+    try:
+        result = parse(path, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (result.subsequences, result.labels) if isinstance(result, LabeledDataset) else (result,)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _walk_only(parse, path, **kwargs) -> list | tuple:
+    """:func:`_outcome` with the C reader refusing every file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_c_table", lambda path, sep: None)
+        return _outcome(parse, path, **kwargs)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record each call of the walk ``dataset.<name>``, which still runs."""
+    calls = []
+    walk = getattr(dataset, name)
+    monkeypatch.setattr(dataset, name, lambda *args: calls.append(args) or walk(*args))
+    return calls
+
+
+class TestReadPath:
+    """numpy's C reader reads each input first; the field walk runs only on
+    a file it refuses, and alone decides what that file holds."""
+
+    @settings(max_examples=300)
+    @given(file=delimited_files(), labeled=st.booleans())
+    def test_c_reader_agrees_with_walk(self, tmp_path_factory, file, labeled):
+        data, delimiter = file
+        path = tmp_path_factory.getbasetemp() / "agree.txt"
+        path.write_bytes(data)
+        kwargs = {"delimiter": delimiter}
+        if labeled:
+            parse, kwargs["anomaly_class"] = parse_labeled_file, 1
+        else:
+            parse = parse_raw_series
+        assert _outcome(parse, path, **kwargs) == _walk_only(parse, path, **kwargs)
+
+    def test_well_formed_files_skip_the_walk(self, tmp_path, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the field walk ran")
+
+        monkeypatch.setattr(dataset, "_walk_labeled", walk)
+        monkeypatch.setattr(dataset, "_walk_raw", walk)
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf1\t0.5\t-3e-5\t7\t1e300\r\n\r\n0\t2\t3\t4\t5\r\n")
+        ds = parse_labeled_file(path, anomaly_class=1)
+        np.testing.assert_array_equal(ds.subsequences, [[0.5, -3e-5, 7, 1e300], [2, 3, 4, 5]])
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+        path.write_text("1.5\n-2.25\n\n1e-310\n", encoding="utf-8")
+        np.testing.assert_array_equal(parse_raw_series(path), [1.5, -2.25, 1e-310])
+        path.write_text("1,2,3\n4,5,6\n", encoding="utf-8")
+        np.testing.assert_array_equal(parse_raw_series(path), [1, 2, 3, 4, 5, 6])
+
+    @pytest.mark.parametrize(
+        "text, delimiter, fields",
+        [
+            ("1_0\n2\n", None, ["1_0", "2"]),
+            ("１,2.5\n", None, ["１", "2.5"]),
+            ("1,2\n \t\n3,4\n", None, ["1", "2", "3", "4"]),
+            ("1,2,3\n4,5\n", None, ["1", "2", "3", "4", "5"]),
+            ("1,,2,\n", None, ["1", "2"]),
+            ("1\n2\n", "\n", ["1", "2"]),  # numpy refuses a newline separator
+        ],
+    )
+    def test_refused_raw_files_parse_through_the_walk(self, tmp_path, monkeypatch, text, delimiter, fields):
+        walked = _spy(monkeypatch, "_walk_raw")
+        path = tmp_path / "series.txt"
+        path.write_text(text, encoding="utf-8")
+        series = parse_raw_series(path, delimiter=delimiter)
+        assert walked
+        np.testing.assert_array_equal(series, [float(f) for f in fields])
+
+    def test_refused_labeled_file_parses_through_the_walk(self, tmp_path, monkeypatch):
+        walked = _spy(monkeypatch, "_walk_labeled")
+        path = tmp_path / "data.csv"
+        path.write_text("1_0,1,2,3,4\n  \n0,5,6,7,8_5\n", encoding="utf-8")
+        ds = parse_labeled_file(path, anomaly_class=10)
+        assert walked
+        np.testing.assert_array_equal(ds.subsequences, [[1, 2, 3, 4], [5, 6, 7, float("8_5")]])
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+
+    # numpy's C reader strips these from a field's ends, as whitespace;
+    # float() refuses the field
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_field_padded_with_separator_control_rejected(self, tmp_path, char):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1,1,2,3,4\n0,5,6,7{char},8\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="line 2, column 4: non-numeric field '7'"):
+            parse_labeled_file(path)
+        path.write_text(f"1\n{char}2\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="line 2, column 1: non-numeric field '2'"):
+            parse_raw_series(path)
+
+    def test_numpy_warning_refuses_and_does_not_escape(self, tmp_path, monkeypatch):
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt: input contained no data", UserWarning, stacklevel=2)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        walked = _spy(monkeypatch, "_walk_raw")
+        path = tmp_path / "series.txt"
+        path.write_text("1.5\n2.5\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = parse_raw_series(path)
+        assert caught == [] and walked
+        np.testing.assert_array_equal(series, [1.5, 2.5])
+
+
 class TestWindowSeries:
     def test_exact_division(self):
         ds = window_series(np.arange(20.0), 5)
         assert (ds.n, ds.d) == (4, 5)
         np.testing.assert_array_equal(ds.subsequences[0], [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(ds.subsequences[3], [15, 16, 17, 18, 19])
+        ds = window_series(np.arange(12.0), 4)
+        assert (ds.n, ds.d) == (3, 4)
+        np.testing.assert_array_equal(ds.subsequences[2], [8, 9, 10, 11])
 
     def test_remainder_dropped(self):
         ds = window_series(np.arange(22.0), 5)
@@ -226,10 +408,6 @@ class TestWindowSeries:
     def test_window_too_short(self):
         with pytest.raises(ConfigurationError):
             window_series(np.arange(10.0), 3)
-
-    def test_accepts_plain_array(self):
-        ds = window_series(np.arange(12.0), 4)
-        assert ds.n == 3
 
 
 class TestZnormalize:

@@ -375,9 +375,6 @@ class TestWindowSeries:
         assert (ds.n, ds.d) == (4, 5)
         np.testing.assert_array_equal(ds.subsequences[0], [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(ds.subsequences[3], [15, 16, 17, 18, 19])
-        ds = window_series(np.arange(12.0), 4)
-        assert (ds.n, ds.d) == (3, 4)
-        np.testing.assert_array_equal(ds.subsequences[2], [8, 9, 10, 11])
 
     def test_remainder_dropped(self):
         ds = window_series(np.arange(22.0), 5)
@@ -408,6 +405,11 @@ class TestWindowSeries:
     def test_window_too_short(self):
         with pytest.raises(ConfigurationError):
             window_series(np.arange(10.0), 3)
+
+    def test_accepts_plain_array(self):
+        ds = window_series(np.arange(12.0), 4)
+        assert (ds.n, ds.d) == (3, 4)
+        np.testing.assert_array_equal(ds.subsequences[2], [8, 9, 10, 11])
 
 
 class TestZnormalize:

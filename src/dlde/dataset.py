@@ -13,6 +13,7 @@ field.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from array import array
 from collections.abc import Iterable
@@ -98,13 +99,12 @@ def _parse_field(raw: str, lineno: int, column: int) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise InputFormatError(
-            f"line {lineno}, column {column}: non-numeric field {raw.strip()!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise InputFormatError(
-            f"line {lineno}, column {column}: non-finite value {raw.strip()!r}"
-        )
+        value = None
+    if value is None or not np.isfinite(value):
+        # named as float() read it: stripped of whitespace, but not of \x1c-\x1f
+        field = re.sub(r"^[^\S\x1c-\x1f]+|[^\S\x1c-\x1f]+\Z", "", raw)
+        kind = "non-numeric field" if value is None else "non-finite value"
+        raise InputFormatError(f"line {lineno}, column {column}: {kind} {field!r}")
     return value
 
 

@@ -1,24 +1,19 @@
 """Dynamic local density of data points and subsequences under one tree.
 
-For a value ``q`` observed at time ``t``, the leaf segment containing
-``t`` is the neighborhood searched for similar points.  Each bucketing
-function j contributes a candidate set N_j: the columns of the segment
-where some row has q's bucket key.  Their intersection TN filters
-spurious collisions; the density of ``q`` is then the mean, over columns
-in TN, of the total bucket count of q's key summed across all h
-functions.  A subsequence's density is the mean point density over its
-d time points, so low density marks rows whose values are rarely matched
-inside their leaf neighborhoods.
+For a value ``q`` at time ``t``, each of the h bucketing functions of the
+leaf segment containing ``t`` gives a candidate set N_j: the segment's
+columns where some row has q's key.  The density of ``q`` is the mean, over
+the columns of their intersection TN, of q's key counts summed over the h
+functions; a row's density is the mean over its d points, so low density
+marks rows that are rarely matched inside their leaf neighborhoods.
 
-Scoring is transductive: a leaf's bucket counts are built from the very
-matrix whose densities are read, so every point finds itself: TN is never
-empty, and every density is >= h, the point's own count under each
-function.  A point's density depends only on its h bucket keys, and keys
-never decrease as the value grows: in a leaf's sorted values one key
-tuple is one run, a *cell*, and one key of one function a run of cells.
-:func:`leaf_point_densities` counts cells per column once and reads a
-key's count as a difference of cumulative cell counts;
-:func:`row_densities` averages point densities over each row.
+Counts come from the matrix being scored, so TN holds q's own column and
+every density is >= h.  Keys never decrease as the value grows, so in a
+leaf's sorted values one key tuple is one run, a *cell*, and one key of one
+function a run of cells: :func:`leaf_point_densities` reads a key's count
+as a difference of cumulative cell counts, taking the functions in blocks
+that fit ``_BLOCK`` elements, one block for a small leaf and one per
+function for a large one.  The sums are exact integers, so blocks change no bit.
 """
 
 from __future__ import annotations
@@ -31,6 +26,8 @@ from .hashing import LeafTables, bucket_keys
 from .tstree import Segment, TSTree
 
 __all__ = ["leaf_point_densities", "row_densities"]
+
+_BLOCK = 2**14  # elements of a block's (g, values) keys or (g, cells + 1, L) sums
 
 
 def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
@@ -47,41 +44,47 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
         (N, L) array, L the segment length; entry (k, i) is the density of
         x[k, segment.start - 1 + i] at its own time index.
     """
-    n, length = x.shape[0], tables.segment.length
+    n, length, fns = x.shape[0], tables.segment.length, tables.fns
     values = x[:, tables.segment.columns].T.ravel()  # time-major: value p is in column p // n
     order = values.argsort()
     ordered = values.take(order)
+    offsets, widths = np.array([f.offset for f in fns] + [f.width for f in fns]).reshape(2, -1, 1)
 
     # changes[j, p]: function j's key differs between sorted values p - 1
     # and p, and is true at both ends; cells end wherever any key changes.
-    changes = np.ones((len(tables.fns), ordered.size + 1), dtype=bool)
-    for fn, change in zip(tables.fns, changes):
-        keys = bucket_keys(ordered, fn.offset, fn.width)
-        np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
+    changes = np.ones((len(fns), ordered.size + 1), dtype=bool)
+    g = max(1, _BLOCK // ordered.size)
+    for j in range(0, len(fns), g):
+        keys = bucket_keys(ordered, offsets[j : j + g], widths[j : j + g])
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=changes[j : j + g, 1:-1])
     edges = changes.any(axis=0).nonzero()[0]
     sizes = edges[1:] - edges[:-1]
 
-    # counts[c, i]: the points in column i of the cells before cell c.
+    # counts[c, i]: the points in column i of the cells before cell c, typed for -h*n..h*n.
     index = np.arange(length, edges.size * length, length).repeat(sizes) + order // n
     counts = np.bincount(index, minlength=edges.size * length).reshape(-1, length)
-    del index
-    counts.cumsum(axis=0, out=counts)
+    counts = counts.cumsum(axis=0, dtype=np.min_scalar_type(-1 - len(fns) * n))
 
     # Under function j each key is a run of cells; its count in column i is
     # the difference of counts at the run's edges, positive where i is in N_j.
-    # A point's own column is in every N_j.  einsum needs no (cells, L) product.
-    total = np.zeros((sizes.size, length), dtype=np.int64)
+    # A point's own column is in every N_j.  A block is one slice of the run
+    # edges laid end to end, read modulo edges.size; each function's spare
+    # last row takes the step to the next function, and is dropped.
+    starts = changes.take(edges, axis=1).ravel()
+    g = min(len(fns), max(1, _BLOCK // counts.size))
+    total = np.zeros((g, edges.size, length), dtype=counts.dtype)
     member = np.ones(total.shape, dtype=bool)
-    for start in changes.take(edges, axis=1):
-        runs = start.nonzero()[0]
-        at = counts.take(runs, axis=0)
+    for j in range(0, starts.size, g * edges.size):
+        runs = starts[j : j + g * edges.size].nonzero()[0]
+        at = counts.take(runs, axis=0, mode="wrap")
         run = at[1:] - at[:-1]
         lengths = runs[1:] - runs[:-1]
-        total += run.repeat(lengths, axis=0)
-        member &= (run > 0).repeat(lengths, axis=0)
-    density = np.einsum("ij,ij->i", total, member) / np.einsum("ij->i", member, dtype=np.int64)
+        total.reshape(-1, length)[: runs[-1]] += run.repeat(lengths, axis=0)
+        member.reshape(-1, length)[: runs[-1]] &= (run > 0).repeat(lengths, axis=0)
+    member = member[:, :-1].all(axis=0)
+    sums = np.einsum("gij,ij->i", total[:, :-1], member, dtype=np.int64)
     out = np.empty(ordered.size)
-    out[order] = density.repeat(sizes)
+    out[order] = (sums / np.einsum("ij->i", member, dtype=np.int64)).repeat(sizes)
     return out.reshape(length, n).T
 
 

@@ -340,16 +340,31 @@ class TestReadPath:
         np.testing.assert_array_equal(ds.labels, [1, 0])
 
     # numpy's C reader strips these from a field's ends, as whitespace;
-    # float() refuses the field
+    # float() refuses the field, and the message names it as it is
     @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
     def test_field_padded_with_separator_control_rejected(self, tmp_path, char):
         path = tmp_path / "data.csv"
         path.write_text(f"1,1,2,3,4\n0,5,6,7{char},8\n", encoding="utf-8")
-        with pytest.raises(InputFormatError, match="line 2, column 4: non-numeric field '7'"):
+        with pytest.raises(InputFormatError) as info:
             parse_labeled_file(path)
+        assert str(info.value) == f"line 2, column 4: non-numeric field {'7' + char!r}"
         path.write_text(f"1\n{char}2\n", encoding="utf-8")
-        with pytest.raises(InputFormatError, match="line 2, column 1: non-numeric field '2'"):
+        with pytest.raises(InputFormatError) as info:
             parse_raw_series(path)
+        assert str(info.value) == f"line 2, column 1: non-numeric field {char + '2'!r}"
+
+    # float() strips whitespace, so the message names the field without it
+    @pytest.mark.parametrize("pad", [" ", "\t", "\xa0", "\u3000"])
+    def test_space_padded_bad_field_named_stripped(self, tmp_path, pad):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1,1,2,3,4\n0,5,6,{pad}7x{pad},8\n", encoding="utf-8")
+        with pytest.raises(InputFormatError) as info:
+            parse_labeled_file(path)
+        assert str(info.value) == "line 2, column 4: non-numeric field '7x'"
+        path.write_text(f"1\n{pad}inf{pad}\n", encoding="utf-8")
+        with pytest.raises(InputFormatError) as info:
+            parse_raw_series(path)
+        assert str(info.value) == "line 2, column 1: non-finite value 'inf'"
 
     def test_numpy_warning_refuses_and_does_not_escape(self, tmp_path, monkeypatch):
         loadtxt = np.loadtxt

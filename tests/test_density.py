@@ -360,3 +360,52 @@ class TestOracleEquivalence:
         x[4, 0] = 0.1 + 1e-12
         with pytest.raises(ValueError, match="fitted on"):
             score(forest, LabeledDataset(x, ds.labels))
+
+    # The kernel takes a leaf's h functions in blocks of g, as many as fit
+    # dlde.density._BLOCK elements: g rows of the n * L sorted values when
+    # hashing, g blocks of (cells + 1) * L counts when reading runs.  Budgets
+    # set from the leaf force each block shape: g = 1; g = 3 of h = 10, so
+    # the last block is short; g = h; h = 1; cells * L over the budget.
+    @pytest.mark.parametrize(
+        "h, budget, hashed, counted",
+        [
+            pytest.param(10, lambda p, c: 1, [1] * 10, 1, id="one_per_block"),
+            pytest.param(10, lambda p, c: 3 * p, [3, 3, 3, 1], 1, id="three_hashed"),
+            pytest.param(10, lambda p, c: 3 * c, [10], 3, id="three_counted"),
+            pytest.param(10, lambda p, c: 10 * c, [10], 10, id="all_in_one_block"),
+            pytest.param(1, lambda p, c: dlde.density._BLOCK, [1], 1, id="one_function"),
+            pytest.param(10, lambda p, c: 2 * p, [2] * 5, 1, id="cells_over_budget"),
+        ],
+    )
+    def test_function_blocks_match_bruteforce(self, monkeypatch, h, budget, hashed, counted):
+        rng = np.random.default_rng(400)
+        x = np.round(3 * rng.normal(size=(24, 6)), 1)  # ties among many cells
+        fns = sample_hash_fn(x.shape[0], rng, h)
+        keys = np.stack([hash_keys(fn, x) for fn in fns], axis=-1).reshape(-1, h)
+        values, counts = x.size, (len(np.unique(keys, axis=0)) + 1) * x.shape[1]
+        monkeypatch.setattr(dlde.density, "_BLOCK", budget(values, counts))
+        blocks = []
+
+        def spy(values, offset, width):
+            blocks.append(len(offset))
+            return dlde.hashing.bucket_keys(values, offset, width)
+
+        monkeypatch.setattr(dlde.density, "bucket_keys", spy)
+        segment = Segment(1, x.shape[1])
+        expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
+        got = leaf_point_densities(x, LeafTables(segment, fns))
+        assert blocks == hashed
+        assert min(h, max(1, budget(values, counts) // counts)) == counted
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    # Counts and their sums are kept in the narrowest integer type holding
+    # -h*n to h*n.  Equal values put every point in one cell whose sums reach
+    # h*n, the density, at the edges of int8 and int16.
+    @pytest.mark.parametrize(
+        "n, h", [(127, 1), (128, 1), (12, 10), (13, 10), (3276, 10), (3277, 10), (32767, 1), (32768, 1)]
+    )
+    def test_count_type_edges_exact(self, n, h):
+        x = np.full((n, 2), 0.25)
+        fns = sample_hash_fn(n, np.random.default_rng(n), h)
+        got = leaf_point_densities(x, LeafTables(Segment(1, 2), fns))
+        np.testing.assert_array_equal(got, float(h * n))

@@ -50,8 +50,9 @@ class TestFit:
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
         # fit hashes only each block's two extremes, under all functions in
-        # one call.  score, leaf by leaf, hashes the leaf's sorted values once
-        # per function, in order, and nothing else
+        # one call.  score, leaf by leaf, hashes the leaf's sorted values
+        # under each of its functions exactly once, in order, in blocks of
+        # (g, 1) offset and width columns, and nothing else
         calls = []
 
         def counting(values, offset, width):
@@ -61,23 +62,29 @@ class TestFit:
         monkeypatch.setattr(dlde.hashing, "bucket_keys", counting)
         monkeypatch.setattr(dlde.density, "bucket_keys", counting)
         ds = random_dataset(np.random.default_rng(1), 9, 16)
-        forest = fit(ds, m=3, h=4, seed=7)
+        forest = fit(ds, m=3, h=10, seed=7)
         x = ds.subsequences
         tables = [model.leaf_tables[s] for model in forest.trees for s in model.tree.segments]
         blocks = [x[:, t.segment.columns] for t in tables]
         extremes = [[block.min(), block.max()] for block in blocks]
         assert [values.tolist() for values, _, _ in calls] == extremes
-        calls.clear()
-        score(forest, ds)
-        assert len(calls) == len(tables) * 4
-        for i, (leaf, block) in enumerate(zip(tables, blocks)):
-            hashed = calls[4 * i : 4 * i + 4]
-            assert [(offset, width) for _, offset, width in hashed] == [
-                (fn.offset, fn.width) for fn in leaf.fns
-            ]
-            for values, _, _ in hashed:
-                assert values.shape == (9 * leaf.segment.length,)
-                np.testing.assert_array_equal(values, np.sort(block, axis=None))
+        # a leaf of at most 9 * 16 values takes its 10 functions in one call;
+        # a budget of one element takes them one call each
+        for budget, per_leaf in ((dlde.density._BLOCK, 1), (1, 10)):
+            monkeypatch.setattr(dlde.density, "_BLOCK", budget)
+            calls.clear()
+            score(forest, ds)
+            assert len(calls) == len(tables) * per_leaf
+            for i, (leaf, block) in enumerate(zip(tables, blocks)):
+                hashed = calls[per_leaf * i : per_leaf * (i + 1)]
+                assert [
+                    (o, w)
+                    for _, offset, width in hashed
+                    for o, w in zip(offset[:, 0].tolist(), width[:, 0].tolist())
+                ] == [(fn.offset, fn.width) for fn in leaf.fns]
+                for values, offset, width in hashed:
+                    assert offset.shape == width.shape == (10 // per_leaf, 1)
+                    np.testing.assert_array_equal(values, np.sort(block, axis=None))
 
     def test_too_small_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(2), 4, 8)

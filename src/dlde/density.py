@@ -2,18 +2,18 @@
 
 For a value ``q`` at time ``t``, each of the h bucketing functions of the
 leaf segment containing ``t`` gives a candidate set N_j: the segment's
-columns where some row has q's key.  The density of ``q`` is the mean, over
-the columns of their intersection TN, of q's key counts summed over the h
-functions; a row's density is the mean over its d points, so low density
-marks rows that are rarely matched inside their leaf neighborhoods.
+columns where some row has q's key.  Their intersection TN filters chance
+collisions; the density of ``q`` is the mean, over the columns in TN, of
+q's key counts summed over the h functions.  Low density marks anomalies.
 
-Counts come from the matrix being scored, so TN holds q's own column and
-every density is >= h.  Keys never decrease as the value grows, so in a
-leaf's sorted values one key tuple is one run, a *cell*, and one key of one
-function a run of cells: :func:`leaf_point_densities` reads a key's count
-as a difference of cumulative cell counts, taking the functions in blocks
-that fit ``_BLOCK`` elements, one block for a small leaf and one per
-function for a large one.  The sums are exact integers, so blocks change no bit.
+Scoring is transductive: counts come from the matrix being scored, so TN
+holds q's own column and every density is >= h.  Keys never decrease as the
+value grows, so in a leaf's sorted values one key tuple is one run, a
+*cell*, and one key of one function a run of cells.
+:func:`leaf_point_densities` reads a key's count as a difference of
+cumulative cell counts, taking the functions in blocks that fit ``_BLOCK``
+elements: one block for a small leaf, one per function for a large one.
+The sums are exact integers, so blocks change no bit.
 """
 
 from __future__ import annotations

@@ -84,6 +84,7 @@ class TestFit:
                 ] == [(fn.offset, fn.width) for fn in leaf.fns]
                 for values, offset, width in hashed:
                     assert offset.shape == width.shape == (10 // per_leaf, 1)
+                    assert values.shape == (9 * leaf.segment.length,)
                     np.testing.assert_array_equal(values, np.sort(block, axis=None))
 
     def test_too_small_dataset_rejected(self):

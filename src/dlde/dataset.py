@@ -12,7 +12,6 @@ field.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from array import array
@@ -108,17 +107,6 @@ def _parse_field(raw: str, lineno: int, column: int) -> float:
     return value
 
 
-def _finite_floats(fields: Iterable[str]) -> list[float] | None:
-    """The fields as floats in one batched conversion, or ``None`` when any
-    is non-numeric or non-finite; the caller then walks them with
-    :func:`_parse_field` so the error names the first bad field."""
-    try:
-        row = list(map(float, fields))
-    except ValueError:
-        return None
-    return row if all(map(math.isfinite, row)) else None
-
-
 @contextmanager
 def _data_lines(path: str | Path, delimiter: str | None):
     """The field separator, from the first non-blank line, and the numbered
@@ -186,30 +174,20 @@ def _walk_labeled(sep: str, lines: Iterable[tuple[int, str]]) -> np.ndarray:
             raise InputFormatError(
                 f"line {lineno}: expected {width} fields, found {len(fields)}"
             )
-        row = _finite_floats(fields)
-        if row is None:
-            row = [_parse_field(f, lineno, col) for col, f in enumerate(fields, start=1)]
-        table.fromlist(row)
+        table.fromlist([_parse_field(f, lineno, col) for col, f in enumerate(fields, start=1)])
     return np.frombuffer(table).reshape(-1, width)
 
 
-def _walk_raw(path: str | Path, delimiter: str | None) -> list[float]:
-    """The values of every field of every line, in order, as floats; an
-    error names the first bad field's line and column."""
-    # No per-line check comes first here, so the whole file converts in one
-    # batch, streamed; on failure a second read walks it field by field.
-    # Stray padding around separators is not a value, but is a column.
-    with _data_lines(path, delimiter) as (sep, lines):
-        values = _finite_floats(f for _, line in lines for f in line.split(sep) if f.strip())
-    if values is None:
-        with _data_lines(path, delimiter) as (sep, lines):
-            values = [
-                _parse_field(f, lineno, col)
-                for lineno, line in lines
-                for col, f in enumerate(line.split(sep), start=1)
-                if f.strip()
-            ]
-    return values
+def _walk_raw(sep: str, lines: Iterable[tuple[int, str]]) -> list[float]:
+    """The values of every field of the numbered lines, in order, as floats;
+    an error names the first bad field's line and column."""
+    # stray padding around separators is not a value, but is a column
+    return [
+        _parse_field(f, lineno, col)
+        for lineno, line in lines
+        for col, f in enumerate(line.split(sep), start=1)
+        if f.strip()
+    ]
 
 
 def parse_labeled_file(
@@ -258,11 +236,11 @@ def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> np.nd
         InputFormatError: A non-numeric or non-finite field, reported with
             its line and column numbers.
     """
-    with _data_lines(path, delimiter) as (sep, _):
+    with _data_lines(path, delimiter) as (sep, lines):
         table = _c_table(path, sep)
-    if table is not None:
-        return table.ravel()
-    values = _walk_raw(path, delimiter)
+        if table is not None:
+            return table.ravel()
+        values = _walk_raw(sep, lines)
     if not values:
         raise EmptyInputError(f"{path}: no values found")
     return np.asarray(values)

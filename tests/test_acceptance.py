@@ -11,7 +11,6 @@ stand-ins for both criteria always run.
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys

@@ -271,10 +271,10 @@ def _walk_only(parse, path, **kwargs) -> list | tuple:
 
 
 def _spy(monkeypatch, name: str) -> list:
-    """Record each call of the walk ``dataset.<name>``, which still runs."""
+    """Record each call of ``dataset.<name>``, which still runs."""
     calls = []
-    walk = getattr(dataset, name)
-    monkeypatch.setattr(dataset, name, lambda *args: calls.append(args) or walk(*args))
+    func = getattr(dataset, name)
+    monkeypatch.setattr(dataset, name, lambda *args: calls.append(args) or func(*args))
     return calls
 
 
@@ -324,10 +324,11 @@ class TestReadPath:
     )
     def test_refused_raw_files_parse_through_the_walk(self, tmp_path, monkeypatch, text, delimiter, fields):
         walked = _spy(monkeypatch, "_walk_raw")
+        opened = _spy(monkeypatch, "_data_lines")
         path = tmp_path / "series.txt"
         path.write_text(text, encoding="utf-8")
         series = parse_raw_series(path, delimiter=delimiter)
-        assert walked
+        assert walked and len(opened) == 1  # the walk reads the lines already open
         np.testing.assert_array_equal(series, [float(f) for f in fields])
 
     def test_refused_labeled_file_parses_through_the_walk(self, tmp_path, monkeypatch):

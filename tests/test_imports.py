@@ -1,7 +1,7 @@
 """Every module-level import of the package and the tests is used.
 
-No linter runs on this repository, so this stands in for the one check
-that a deletion most often leaves behind: an import nothing reads.
+No linter runs on this repository, so this catches what a deletion most
+often leaves behind: an import that nothing reads.
 ``dlde/__init__.py`` is exempt, as it exists to bind names.
 """
 

@@ -18,6 +18,7 @@ from array import array
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -73,6 +74,11 @@ class LabeledDataset:
         object.__setattr__(self, "subsequences", x)
         object.__setattr__(self, "labels", y)
 
+    @cached_property
+    def peak(self) -> float:
+        """Largest absolute value."""
+        return max(-float(self.subsequences.min()), float(self.subsequences.max()))
+
     @property
     def n(self) -> int:
         """Number of subsequences."""
@@ -107,26 +113,42 @@ def _parse_field(raw: str, lineno: int, column: int) -> float:
     return value
 
 
+def _numbered_lines(path: str | Path):
+    """The numbered lines of a file, read lazily; lines end at LF, CRLF or
+    CR only.  A line that is not UTF-8 is an :class:`InputFormatError`
+    naming it, raised when the reader reaches it, after every earlier line."""
+    read = 0
+    try:
+        with Path(path).open(encoding="utf-8-sig") as fh:
+            for read, line in enumerate(fh, start=1):
+                yield read, line
+        return
+    except UnicodeDecodeError:
+        pass
+    # The text reader decodes ahead, a chunk at a time: go on from the last
+    # line it gave, a line at a time, splitting bytes where it splits text.
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if lineno > read:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(f"line {lineno}, byte {exc.start + 1}: not UTF-8 text") from None
+            yield lineno, line.removeprefix("\ufeff") if lineno == 1 else line
+
+
 @contextmanager
 def _data_lines(path: str | Path, delimiter: str | None):
     """The field separator, from the first non-blank line, and the numbered
-    non-blank lines, read lazily; lines end at LF, CRLF or CR only.  Text
-    that is not UTF-8 is an :class:`InputFormatError` naming the line."""
+    non-blank lines of :func:`_numbered_lines`, without line ends."""
+    numbered = _numbered_lines(path)
     try:
-        with Path(path).open(encoding="utf-8-sig") as fh:
-            lines = ((no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip())
-            first = next(lines, None)
-            if first is None:
-                raise EmptyInputError(f"{path}: no data lines found")
-            yield _detect_delimiter(first[1], delimiter), chain([first], lines)
-    except UnicodeDecodeError:
-        # bytes split at LF, CRLF and CR only, as the text reader does
-        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputFormatError(f"line {lineno}, byte {exc.start + 1}: not UTF-8 text") from None
-        raise
+        lines = ((no, line.rstrip("\n")) for no, line in numbered if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise EmptyInputError(f"{path}: no data lines found")
+        yield _detect_delimiter(first[1], delimiter), chain([first], lines)
+    finally:
+        numbered.close()
 
 
 # Whitespace to numpy's C reader, which strips them from a field's ends, but

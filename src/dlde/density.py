@@ -10,10 +10,16 @@ Scoring is transductive: counts come from the matrix being scored, so TN
 holds q's own column and every density is >= h.  Keys never decrease as the
 value grows, so in a leaf's sorted values one key tuple is one run, a
 *cell*, and one key of one function a run of cells.
-:func:`leaf_point_densities` reads a key's count as a difference of
-cumulative cell counts, taking the functions in blocks that fit ``_BLOCK``
-elements: one block for a small leaf, one per function for a large one.
-The sums are exact integers, so blocks change no bit.
+
+:func:`leaf_point_densities` first finds where each function's key
+changes in the sorted values.  Where a leaf spans few keys, it hashes only
+the two extremes and searches for each key boundary between them, proving
+each position with the key formula.  Otherwise, or when a proof fails, it
+hashes every value, in blocks of functions that fit ``_BLOCK`` elements.
+Both give the same positions.  It then reads a key's count as a difference
+of cumulative cell counts, again in blocks of functions that fit
+``_BLOCK``.  The sums are exact integers, so neither the path nor the
+blocks change a bit.
 """
 
 from __future__ import annotations
@@ -28,13 +34,17 @@ from .tstree import Segment, TSTree
 __all__ = ["leaf_point_densities", "row_densities"]
 
 _BLOCK = 2**14  # elements of a block's (g, values) keys or (g, cells + 1, L) sums
+_BOUNDARY_SHARE = 1 / 8  # boundary hashing needs at most this many key boundaries a value
+_EXACT_KEYS = 2.0**52  # and keys below this magnitude
 
 
 def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     """Point densities of every value of ``x`` inside one leaf segment.
 
     Unchecked: ``x`` must be the matrix ``tables`` was built from, whose
-    keys :func:`dlde.hashing.build_leaf_tables` checked to fit int64.
+    keys :func:`dlde.hashing.build_leaf_tables` proved to fit int64.  A
+    column-major ``x`` gives the same bits as a row-major one, and its leaf
+    blocks are slices.
 
     Args:
         x: The full (N, d) matrix being scored; the counts are its own.
@@ -52,11 +62,13 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
 
     # changes[j, p]: function j's key differs between sorted values p - 1
     # and p, and is true at both ends; cells end wherever any key changes.
-    changes = np.ones((len(fns), ordered.size + 1), dtype=bool)
-    g = max(1, _BLOCK // ordered.size)
-    for j in range(0, len(fns), g):
-        keys = bucket_keys(ordered, offsets[j : j + g], widths[j : j + g])
-        np.not_equal(keys[:, 1:], keys[:, :-1], out=changes[j : j + g, 1:-1])
+    changes = _boundary_changes(ordered, offsets, widths)
+    if changes is None:  # hash every sorted value
+        changes = np.ones((len(fns), ordered.size + 1), dtype=bool)
+        g = max(1, _BLOCK // ordered.size)
+        for j in range(0, len(fns), g):
+            keys = bucket_keys(ordered, offsets[j : j + g], widths[j : j + g])
+            np.not_equal(keys[:, 1:], keys[:, :-1], out=changes[j : j + g, 1:-1])
     edges = changes.any(axis=0).nonzero()[0]
     sizes = edges[1:] - edges[:-1]
 
@@ -86,6 +98,36 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     out = np.empty(ordered.size)
     out[order] = (sums / np.einsum("ij->i", member, dtype=np.int64)).repeat(sizes)
     return out.reshape(length, n).T
+
+
+def _boundary_changes(
+    ordered: np.ndarray, offsets: np.ndarray, widths: np.ndarray
+) -> np.ndarray | None:
+    """The key changes of :func:`leaf_point_densities`, found from the keys
+    of the two extremes and the key boundaries between them, or ``None``
+    where a key reaches ``_EXACT_KEYS``, the boundaries number over
+    ``_BOUNDARY_SHARE`` of the values, or one position is not proven.
+
+    Function j's key first reaches k, for each k in (lo_j, hi_j], at about
+    the first value at or above k * w_j - o_j.  The key formula on that
+    value and the one before it proves the position exactly.
+    """
+    lo, hi = bucket_keys(ordered[[0, -1]], offsets, widths).T
+    spans = hi - lo
+    if max(-lo.min(), hi.max()) >= _EXACT_KEYS or spans.sum() > _BOUNDARY_SHARE * ordered.size:
+        return None
+    # each function's boundaries in turn: k, and its function's offset and width
+    spans = spans.astype(np.intp)
+    offset, width = offsets[:, 0].repeat(spans), widths[:, 0].repeat(spans)
+    k = np.arange(offset.size) + (lo + 1 - (spans.cumsum() - spans)).repeat(spans)
+    at = ordered[1:-1].searchsorted(k * width - offset) + 1  # in 1..size - 1
+    before, after = bucket_keys(ordered.take(at - [[1], [0]]), offset, width)
+    if not ((before < k) & (k <= after)).all():
+        return None
+    changes = np.zeros((spans.size, ordered.size + 1), dtype=bool)
+    changes[:, 0] = changes[:, -1] = True
+    changes[np.arange(spans.size).repeat(spans), at] = True
+    return changes
 
 
 def row_densities(

@@ -165,7 +165,7 @@ def _tree_sums(forest: TSForest, dataset: LabeledDataset) -> Iterator[np.ndarray
             "dataset differs from the one the forest was fitted on; "
             "scores are only defined transductively"
         )
-    x = dataset.subsequences
+    x = np.asfortranarray(dataset.subsequences)  # each leaf block a slice
     acc = np.zeros(dataset.n)
     for model in forest.trees:
         acc += row_densities(x, model.tree, model.leaf_tables)

@@ -6,8 +6,10 @@ from a range that shrinks as the dataset grows, ``[1/log2(N), 1 - 1/log2(N)]``,
 which presumes roughly unit-scale data (see ``znormalize``).  Bucket keys
 are int64, so every key must lie in [-2**63, 2**63); data whose keys
 would leave that range is rejected with a :class:`ConfigurationError`.
-Keys are monotone in the value, so :func:`key_bounds` checks a block
-from its two extremes.
+:func:`build_leaf_tables` proves the range from the dataset's largest
+magnitude and the leaf's narrowest width.  Only where that proof fails does
+it run :func:`key_bounds`, which checks the leaf's block from its two
+extremes, as keys are monotone in the value.
 
 A leaf segment of a tree keeps only its ``h`` independently sampled
 bucketing functions.  The counts they induce (how many subsequences put
@@ -120,8 +122,11 @@ def build_leaf_tables(
 ) -> LeafTables:
     """Check that every key of ``dataset`` over ``segment`` fits int64.
 
-    One array pass hashes the block's two extremes under every function
-    (see :func:`key_bounds`).
+    Rounding keeps the float keys in order, so no key's magnitude exceeds
+    (peak + 1) / width, where peak is the dataset's largest magnitude,
+    computed once per dataset.  Below 2**62 that proves the range.
+    Otherwise one array pass hashes the block's two extremes under every
+    function (see :func:`key_bounds`).
 
     Raises:
         ValueError: segment out of the dataset's 1..d range, or no hash
@@ -134,5 +139,6 @@ def build_leaf_tables(
         )
     if len(fns) < 1:
         raise ValueError("at least one hash function is required")
-    key_bounds(dataset.subsequences[:, segment.columns], fns)
+    if not (dataset.peak + 1.0) / min(fn.width for fn in fns) < 2.0**62:
+        key_bounds(dataset.subsequences[:, segment.columns], fns)
     return LeafTables(segment, tuple(fns))

@@ -367,6 +367,36 @@ class TestReadPath:
             parse_raw_series(path)
         assert str(info.value) == "line 2, column 1: non-finite value 'inf'"
 
+    # The text reader decodes a chunk ahead of the lines it gives, so a bad
+    # byte must not be named before a bad line earlier in the file, however
+    # far apart the two are; a bad byte that comes first is still named.
+    @pytest.mark.parametrize("pad", [0, 4000])
+    @pytest.mark.parametrize(
+        "parse, head, tail, message",
+        [
+            (parse_raw_series, b"1\n2\nx\n", b"\xff\n", "line 3, column 1: non-numeric field 'x'"),
+            (parse_labeled_file, b"1,1,2,3,4\n1,1,2,x,4\n", b"\xff,1,2,3,4\n",
+             "line 2, column 4: non-numeric field 'x'"),
+            (parse_raw_series, b"1\n\xff\nx\n", b"", "line 2, byte 1: not UTF-8 text"),
+            (parse_labeled_file, b"1,1,2,3,4\n1,1,2,3\n", b"\xff,1,2,3,4\n",
+             "line 2: expected 5 fields, found 4"),
+        ],
+    )
+    def test_first_bad_line_named(self, tmp_path, parse, head, tail, message, pad):
+        path = tmp_path / "data.csv"
+        filler = b"1,1,2,3,4\n" if parse is parse_labeled_file else b"1.0\n"
+        path.write_bytes(head + filler * pad + tail)
+        with pytest.raises(InputFormatError) as info:
+            parse(path)
+        assert str(info.value) == message
+
+    def test_bad_byte_after_many_lines_named(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + b"1.0\r\n" * 4000 + b"2.0,\xe2\x82\n")
+        with pytest.raises(InputFormatError) as info:
+            parse_raw_series(path)
+        assert str(info.value) == "line 4001, byte 5: not UTF-8 text"
+
     def test_numpy_warning_refuses_and_does_not_escape(self, tmp_path, monkeypatch):
         loadtxt = np.loadtxt
 

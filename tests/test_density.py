@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, note
 from hypothesis import strategies as st
 
 import dlde
@@ -16,7 +16,7 @@ from dlde.hashing import HashFn, LeafTables, build_leaf_tables, sample_hash_fn
 from dlde.tstree import Segment, TSTree, build_tstree, leaves
 
 from conftest import hash_keys, matrices
-from reference import tree_point_densities
+from reference import hash_value, tree_point_densities
 
 hash_fns = st.builds(lambda w, f: HashFn(w, w * f), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
 
@@ -38,6 +38,18 @@ def _point_densities(x, tree, leaf_tables):
     return np.concatenate(
         [leaf_point_densities(x, leaf_tables[seg]) for seg in leaves(tree)], axis=1
     )
+
+
+def _spy_bucket_keys(monkeypatch) -> list:
+    """The arguments of each bucket_keys call the kernel makes."""
+    calls = []
+
+    def spy(values, offset, width):
+        calls.append((values, offset, width))
+        return dlde.hashing.bucket_keys(values, offset, width)
+
+    monkeypatch.setattr(dlde.density, "bucket_keys", spy)
+    return calls
 
 
 HAND_DATASET = LabeledDataset(
@@ -361,11 +373,13 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError, match="fitted on"):
             score(forest, LabeledDataset(x, ds.labels))
 
-    # The kernel takes a leaf's h functions in blocks of g, as many as fit
-    # dlde.density._BLOCK elements: g rows of the n * L sorted values when
-    # hashing, g blocks of (cells + 1) * L counts when reading runs.  Budgets
-    # set from the leaf force each block shape: g = 1; g = 3 of h = 10, so
-    # the last block is short; g = h; h = 1; cells * L over the budget.
+    # On the full-hash path the kernel takes a leaf's h functions in blocks
+    # of g, as many as fit dlde.density._BLOCK elements: g rows of the n * L
+    # sorted values when hashing, g blocks of (cells + 1) * L counts when
+    # reading runs.  Budgets set from the leaf force each block shape: g = 1;
+    # g = 3 of h = 10, so the last block is short; g = h; h = 1; cells * L
+    # over the budget.  A negative boundary share keeps the leaf on that
+    # path, after the one call that hashes its two extremes.
     @pytest.mark.parametrize(
         "h, budget, hashed, counted",
         [
@@ -378,25 +392,48 @@ class TestOracleEquivalence:
         ],
     )
     def test_function_blocks_match_bruteforce(self, monkeypatch, h, budget, hashed, counted):
-        rng = np.random.default_rng(400)
-        x = np.round(3 * rng.normal(size=(24, 6)), 1)  # ties among many cells
-        fns = sample_hash_fn(x.shape[0], rng, h)
+        x, fns = self._ties(h)
         keys = np.stack([hash_keys(fn, x) for fn in fns], axis=-1).reshape(-1, h)
         values, counts = x.size, (len(np.unique(keys, axis=0)) + 1) * x.shape[1]
         monkeypatch.setattr(dlde.density, "_BLOCK", budget(values, counts))
-        blocks = []
-
-        def spy(values, offset, width):
-            blocks.append(len(offset))
-            return dlde.hashing.bucket_keys(values, offset, width)
-
-        monkeypatch.setattr(dlde.density, "bucket_keys", spy)
+        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", -1.0)
+        calls = _spy_bucket_keys(monkeypatch)
         segment = Segment(1, x.shape[1])
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         got = leaf_point_densities(x, LeafTables(segment, fns))
-        assert blocks == hashed
+        shapes = [(v.shape, o.shape) for v, o, _ in calls]
+        assert shapes == [((2,), (h, 1))] + [((values,), (g, 1)) for g in hashed]
         assert min(h, max(1, budget(values, counts) // counts)) == counted
         np.testing.assert_array_equal(got, np.array(expected))
+
+    # On the boundary path one call hashes the extremes, and one more hashes,
+    # for each k in (lo_j, hi_j] of each function j in order, the sorted
+    # values either side of where function j's key first reaches k.
+    @pytest.mark.parametrize("h", [1, 10])
+    def test_boundary_path_hashes_each_boundary_once(self, monkeypatch, h):
+        x, fns = self._ties(h)
+        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", np.inf)
+        calls = _spy_bucket_keys(monkeypatch)
+        segment = Segment(1, x.shape[1])
+        expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
+        got = leaf_point_densities(x, LeafTables(segment, fns))
+        ordered = np.sort(x, axis=None)
+        bounds = [(fn, k) for fn in fns for k in range(hash_value(fn, ordered[0]) + 1,
+                                                         hash_value(fn, ordered[-1]) + 1)]
+        shapes = [(v.shape, o.shape) for v, o, _ in calls]
+        assert shapes == [((2,), (h, 1)), ((2, len(bounds)), (len(bounds),))]
+        pairs, offsets, widths = calls[1]
+        assert list(zip(offsets.tolist(), widths.tolist())) == [(fn.offset, fn.width) for fn, _ in bounds]
+        for (before, after), (fn, k) in zip(pairs.T.tolist(), bounds):
+            below = [v for v in ordered.tolist() if hash_value(fn, v) < k]
+            assert (before, after) == (below[-1], ordered[len(below)])
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    @staticmethod
+    def _ties(h):
+        rng = np.random.default_rng(400)
+        x = np.round(3 * rng.normal(size=(24, 6)), 1)  # ties among many cells
+        return x, sample_hash_fn(x.shape[0], rng, h)
 
     # Counts and their sums are kept in the narrowest integer type holding
     # -h*n to h*n.  Equal values put every point in one cell whose sums reach
@@ -409,3 +446,118 @@ class TestOracleEquivalence:
         fns = sample_hash_fn(n, np.random.default_rng(n), h)
         got = leaf_point_densities(x, LeafTables(Segment(1, 2), fns))
         np.testing.assert_array_equal(got, float(h * n))
+
+
+@st.composite
+def boundary_leaves(draw) -> tuple[np.ndarray, list[HashFn]]:
+    """A leaf's (N, L) values and functions, placed where finding key
+    boundaries by search could go wrong: on a function's bucket edges
+    k * w - o and one float either side, in ties, in one bucket of every
+    function, and at keys near 2**52."""
+    fns = draw(st.lists(hash_fns, min_size=1, max_size=4))
+    first = fns[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        # the first function's keys reach to either side of +-2**52
+        sign, edge = draw(st.sampled_from([1.0, -1.0])), draw(st.integers(-3, 3))
+        base = sign * (2.0**52 + edge) * first.width - first.offset
+        values = base + first.width * rng.integers(-3, 4, size=shape)
+    else:
+        base = draw(st.sampled_from([0.0, -3.7, 1e3]))
+        values = base + draw(st.sampled_from([0.0, 1e-12, 0.1, 1.0, 10.0])) * rng.normal(size=shape)
+    if draw(st.booleans()):
+        fn = draw(st.sampled_from(fns))
+        edges = np.floor((values + fn.offset) / fn.width) * fn.width - fn.offset
+        values = np.where(rng.random(shape) < 0.7, edges, values)
+        step = rng.integers(-1, 2, size=shape)
+        values = np.select([step < 0, step > 0], [np.nextafter(values, -np.inf),
+                                                  np.nextafter(values, np.inf)], values)
+    if draw(st.booleans()):
+        values = rng.choice(values.ravel()[:3], size=shape)
+    return values, fns
+
+
+def _two_values(a: float, b: float) -> np.ndarray:
+    """Eight each of ``a`` and ``b``, in a (4, 4) leaf."""
+    return np.array([a, b] * 8).reshape(4, 4)
+
+
+def _hashes_boundaries(calls) -> bool:
+    """Whether the kernel's bucket_keys calls took the boundary path: the
+    extremes, then one (2, K) block of values either side of K boundaries."""
+    return len(calls) == 2 and calls[1][0].ndim == 2
+
+
+class TestBoundaryHashing:
+    """Boundary hashing finds the same key changes as hashing every value."""
+
+    @given(leaf=boundary_leaves())
+    def test_matches_full_hash(self, leaf):
+        x, fns = leaf
+        tables = LeafTables(Segment(1, x.shape[1]), tuple(fns))
+        got = {}
+        # a value one float from the edge 0 is subnormal, and its key's
+        # division underflows on every path; nothing else may warn
+        with np.errstate(all="raise", under="ignore"), pytest.MonkeyPatch.context() as mp:
+            for share in (np.inf, dlde.density._BOUNDARY_SHARE, -1.0):
+                mp.setattr(dlde.density, "_BOUNDARY_SHARE", share)
+                calls = _spy_bucket_keys(mp)
+                got[share] = leaf_point_densities(x, tables).tobytes()
+                note(f"share {share}: boundary path {_hashes_boundaries(calls)}")
+        assert len(set(got.values())) == 1
+
+    # (values, functions, whether the boundary path is taken); each column of
+    # values is one leaf column.  Under width 0.5 and offset 0 the key is 2v.
+    HALF = HashFn(0.5, 0.0)
+    PATHS = {
+        "all_equal": (np.full((6, 5), 0.4), EDGE_FNS, True),
+        "one_key_each": (0.4 + 1e-9 * np.arange(12.0).reshape(4, 3), EDGE_FNS, True),
+        # 16 values of two keys each: 1 or 2 boundaries, within 1/8 of them
+        "keys_below_2**52": (_two_values(2.0**51 - 1, 2.0**51 - 2), (HALF,), True),
+        "keys_at_2**52": (_two_values(2.0**51, 2.0**51 - 1), (HALF,), False),
+        "keys_above_-2**52": (_two_values(-(2.0**51) + 1, -(2.0**51) + 0.5), (HALF,), True),
+        "keys_at_-2**52": (_two_values(-(2.0**51), -(2.0**51) + 1), (HALF,), False),
+        # 16 values: 2 boundaries are within 1/8 of them, 3 are not
+        "share_met": (_two_values(0.0, 1.0), (HALF,), True),
+        "share_exceeded": (_two_values(0.0, 1.5), (HALF,), False),
+    }
+
+    @pytest.mark.parametrize("case", PATHS)
+    def test_path_and_densities(self, monkeypatch, case):
+        x, fns, boundary = self.PATHS[case]
+        segment = Segment(1, x.shape[1])
+        calls = _spy_bucket_keys(monkeypatch)
+        with np.errstate(all="raise"):
+            got = leaf_point_densities(x, LeafTables(segment, tuple(fns)))
+        assert _hashes_boundaries(calls) == boundary
+        expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    def test_unproved_position_falls_back(self, monkeypatch):
+        # values on bucket edges and one float either side: the search lands
+        # a float off the key change at some boundary, the proof fails there,
+        # and the leaf is hashed in full, with the same densities
+        x, fns = _on_bucket_edges()
+        segment = Segment(1, x.shape[1])
+        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", np.inf)
+        calls = _spy_bucket_keys(monkeypatch)
+        got = leaf_point_densities(x, LeafTables(segment, fns))
+        assert [v.ndim for v, _, _ in calls] == [1, 2, 1]
+        expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
+        np.testing.assert_array_equal(got, np.array(expected))
+
+
+class TestMemoryOrder:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_column_major_matrix_gives_the_same_bytes(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        x = np.round(rng.normal(size=(30, 12)), 1 + seed)
+        model = fit(LabeledDataset(x, np.zeros(30, int)), m=1, h=4, seed=seed).trees[0]
+        f = np.asfortranarray(x)
+        assert f.flags.f_contiguous and not f.flags.c_contiguous
+        for seg in model.tree.segments:
+            tables = model.leaf_tables[seg]
+            assert leaf_point_densities(f, tables).tobytes() == leaf_point_densities(x, tables).tobytes()
+        rows = row_densities(f, model.tree, model.leaf_tables)
+        assert rows.tobytes() == row_densities(x, model.tree, model.leaf_tables).tobytes()

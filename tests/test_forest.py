@@ -17,7 +17,7 @@ from dlde.hashing import bucket_keys
 from dlde.tstree import Segment, leaves
 
 from conftest import matrices, random_dataset, tree_model_state
-from reference import tree_point_densities
+from reference import hash_value, tree_point_densities
 
 
 def _constant_dataset(n: int, d: int, value: float = 0.3) -> LabeledDataset:
@@ -49,10 +49,13 @@ class TestFit:
             assert covered == list(range(16))
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
-        # fit hashes only each block's two extremes, under all functions in
-        # one call.  score, leaf by leaf, hashes the leaf's sorted values
-        # under each of its functions exactly once, in order, in blocks of
-        # (g, 1) offset and width columns, and nothing else
+        # fit proves the key range from the dataset's peak and hashes
+        # nothing.  score, leaf by leaf, first hashes the leaf's two extremes
+        # under all its functions in one call.  On the full-hash path it then
+        # hashes the leaf's sorted values under each function exactly once,
+        # in order, in blocks of (g, 1) offset and width columns; on the
+        # boundary path, one call hashes the two values around every key
+        # boundary between the extremes.  Nothing else is hashed.
         calls = []
 
         def counting(values, offset, width):
@@ -63,20 +66,30 @@ class TestFit:
         monkeypatch.setattr(dlde.density, "bucket_keys", counting)
         ds = random_dataset(np.random.default_rng(1), 9, 16)
         forest = fit(ds, m=3, h=10, seed=7)
+        assert calls == []
         x = ds.subsequences
         tables = [model.leaf_tables[s] for model in forest.trees for s in model.tree.segments]
-        blocks = [x[:, t.segment.columns] for t in tables]
-        extremes = [[block.min(), block.max()] for block in blocks]
-        assert [values.tolist() for values, _, _ in calls] == extremes
+        blocks = [np.sort(x[:, t.segment.columns], axis=None) for t in tables]
+
+        def assert_extremes(call, leaf, block):
+            values, offset, width = call
+            assert values.tolist() == [block[0], block[-1]]
+            assert offset.shape == width.shape == (10, 1)
+            assert list(zip(offset[:, 0].tolist(), width[:, 0].tolist())) == [
+                (fn.offset, fn.width) for fn in leaf.fns
+            ]
+
         # a leaf of at most 9 * 16 values takes its 10 functions in one call;
         # a budget of one element takes them one call each
+        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", -1.0)
         for budget, per_leaf in ((dlde.density._BLOCK, 1), (1, 10)):
             monkeypatch.setattr(dlde.density, "_BLOCK", budget)
             calls.clear()
             score(forest, ds)
-            assert len(calls) == len(tables) * per_leaf
+            assert len(calls) == len(tables) * (1 + per_leaf)
             for i, (leaf, block) in enumerate(zip(tables, blocks)):
-                hashed = calls[per_leaf * i : per_leaf * (i + 1)]
+                ends, *hashed = calls[(1 + per_leaf) * i : (1 + per_leaf) * (i + 1)]
+                assert_extremes(ends, leaf, block)
                 assert [
                     (o, w)
                     for _, offset, width in hashed
@@ -84,8 +97,23 @@ class TestFit:
                 ] == [(fn.offset, fn.width) for fn in leaf.fns]
                 for values, offset, width in hashed:
                     assert offset.shape == width.shape == (10 // per_leaf, 1)
-                    assert values.shape == (9 * leaf.segment.length,)
-                    np.testing.assert_array_equal(values, np.sort(block, axis=None))
+                    np.testing.assert_array_equal(values, block)
+
+        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", np.inf)
+        calls.clear()
+        score(forest, ds)
+        assert len(calls) == 2 * len(tables)
+        for i, (leaf, block) in enumerate(zip(tables, blocks)):
+            assert_extremes(calls[2 * i], leaf, block)
+            pairs, offset, width = calls[2 * i + 1]
+            spans = [hash_value(fn, block[-1]) - hash_value(fn, block[0]) for fn in leaf.fns]
+            assert pairs.shape == (2, sum(spans))
+            assert list(zip(offset.tolist(), width.tolist())) == [
+                (fn.offset, fn.width) for fn, span in zip(leaf.fns, spans) for _ in range(span)
+            ]
+            # each pair is two neighbours in the leaf's sorted values
+            at = block.searchsorted(pairs[1])
+            np.testing.assert_array_equal(block[at - 1], pairs[0])
 
     def test_too_small_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(2), 4, 8)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dlde import ConfigurationError, LabeledDataset
+import dlde.hashing
+from dlde import ConfigurationError, LabeledDataset, fit
 from dlde.density import leaf_point_densities
 from dlde.hashing import HashFn, build_leaf_tables, key_bounds, sample_hash_fn
 from dlde.seeding import HASH_STREAM, spawn_rng
@@ -239,3 +240,65 @@ class TestBuildLeafTables:
         ds = _identical_rows(5, 6)
         with pytest.raises(ValueError, match="at least one"):
             build_leaf_tables(ds, Segment(1, 6), [])
+
+
+class TestRangeProof:
+    """build_leaf_tables proves the key range from the dataset's largest
+    magnitude, and runs key_bounds on a leaf only where that proof fails."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """The shape of each block key_bounds checks."""
+        calls = []
+
+        def spy(values, fns):
+            calls.append(values.shape)
+            return key_bounds(values, fns)
+
+        monkeypatch.setattr(dlde.hashing, "key_bounds", spy)
+        return calls
+
+    def test_peak_is_largest_magnitude(self):
+        ds = LabeledDataset([[0.5, -3.0, 2.0, 1.0], [0.0, 2.5, -0.25, 1.5]], [0, 0])
+        assert ds.peak == 3.0
+        assert LabeledDataset(-ds.subsequences, ds.labels).peak == 3.0
+
+    def test_unit_scale_fits_are_proved(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        for seed in range(3):
+            fit(random_dataset(np.random.default_rng(seed), 30, 24, anomalies=3), m=3, seed=seed)
+        assert calls == []
+
+    def test_unproved_leaves_are_checked(self, monkeypatch):
+        # at 1e18 scale the peak proves no leaf, but every key fits int64
+        calls = self._spy(monkeypatch)
+        ds = random_dataset(np.random.default_rng(6), 8, 8)
+        forest = fit(LabeledDataset(ds.subsequences * 1e18, ds.labels), m=2, seed=0)
+        segments = [seg for model in forest.trees for seg in model.tree.segments]
+        assert calls == [(8, seg.length) for seg in segments]
+
+    def test_off_scale_fit_message_unchanged(self):
+        # exact text of the release before the range proof
+        ds = random_dataset(np.random.default_rng(6), 8, 8)
+        with pytest.raises(ConfigurationError) as exc:
+            fit(LabeledDataset(ds.subsequences * 3e18, ds.labels), m=2, seed=0)
+        assert str(exc.value) == (
+            "values up to 4.8e+18 give bucket keys outside the int64 range under "
+            "width 0.484; the data must be near unit scale, so z-normalize the rows "
+            "(--normalize)"
+        )
+
+    # The narrowest width, 0.5, needs (peak + 1) * 2 < 2**62.  Floats just
+    # below 2**61 are 256 apart, so the one below it is proved, and 2**61,
+    # whose keys reach 2**62 and still fit int64, is checked.  The peak
+    # sits outside the leaf's columns: it is the dataset's.
+    @pytest.mark.parametrize(
+        "peak, checked",
+        [(2.0**61 - 256, False), (2.0**61, True), (-(2.0**61 - 256), False), (-(2.0**61), True)],
+    )
+    def test_peak_either_side_of_the_threshold(self, monkeypatch, peak, checked):
+        calls = self._spy(monkeypatch)
+        ds = LabeledDataset([[0.1, 0.2, peak, 0.3]], [0])
+        assert ds.peak == abs(peak)
+        build_leaf_tables(ds, Segment(1, 2), [HashFn(0.75, 0.1), HashFn(0.5, 0.0)])
+        assert calls == ([(1, 2)] if checked else [])

@@ -7,7 +7,9 @@ collisions; the density of ``q`` is the mean, over the columns in TN, of
 q's key counts summed over the h functions.  Low density marks anomalies.
 
 Scoring is transductive: counts come from the matrix being scored, so TN
-holds q's own column and every density is >= h.  Keys never decrease as the
+holds q's own column and every density is >= h.  Nothing here checks its
+input: ``fit`` admitted the matrix, and with it the int64 range of every
+key (see :func:`dlde.hashing.check_dataset`).  Keys never decrease as the
 value grows, so in a leaf's sorted values one key tuple is one run, a
 *cell*, and one key of one function a run of cells.
 
@@ -42,9 +44,9 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     """Point densities of every value of ``x`` inside one leaf segment.
 
     Unchecked: ``x`` must be the matrix ``tables`` was built from, whose
-    keys :func:`dlde.hashing.build_leaf_tables` proved to fit int64.  A
-    column-major ``x`` gives the same bits as a row-major one, and its leaf
-    blocks are slices.
+    keys :func:`dlde.hashing.check_dataset` proved to fit int64 once per
+    fit.  A column-major ``x`` gives the same bits as a row-major one, and
+    its leaf blocks are slices.
 
     Args:
         x: The full (N, d) matrix being scored; the counts are its own.
@@ -135,14 +137,10 @@ def row_densities(
 ) -> np.ndarray:
     """Per-row subsequence densities under one tree, for all N rows at once.
 
-    Row ``k``'s density is the mean of its d point densities.
-
-    Raises:
-        ValueError: ``x`` is not ``tree.d`` columns wide.
+    Row ``k``'s density is the mean of its d point densities.  Unchecked:
+    ``x`` is the fitted matrix, ``tree.d`` columns wide.
     """
     n, d = x.shape
-    if d != tree.d:
-        raise ValueError(f"matrix width {d} does not match axis length {tree.d}")
     # Leaf blocks fill a C-ordered (N, d) per-point density matrix in
     # temporal order; the row mean's summation order, and so every score
     # bit, follows that layout, whatever the blocks' own memory order.

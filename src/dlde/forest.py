@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .density import row_densities
 from .errors import ConfigurationError
-from .hashing import LeafTables, build_leaf_tables, sample_hash_fn
+from .hashing import LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
 from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, validate_seed
 from .tstree import Segment, TSTree, build_tstree
 
@@ -110,7 +110,9 @@ def fit(
         ConfigurationError: Non-positive ``m``/``h``/``slimit``, negative
             ``hlimit`` or ``seed``, a dataset too small to sample hash
             widths for, or values so far off the unit scale that a bucket
-            key would not fit int64 (z-normalize such data first).
+            key could leave int64 under some width (z-normalize such data
+            first).  The parameters are checked first, then the dataset,
+            once per fit (see :func:`dlde.hashing.check_dataset`).
     """
     if m < 1:
         raise ConfigurationError(f"tree count must be >= 1, got {m}")
@@ -120,7 +122,8 @@ def fit(
         raise ConfigurationError(f"slimit must be >= 1, got {slimit}")
     if hlimit is not None and hlimit < 0:
         raise ConfigurationError(f"hlimit must be >= 0, got {hlimit}")
-    validate_seed(seed)
+    seed = validate_seed(seed)
+    check_dataset(dataset.n, dataset.peak)
     resolved_hlimit = hlimit if hlimit is not None else int(math.floor(math.log2(dataset.d)))
 
     trees = []

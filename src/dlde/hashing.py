@@ -4,12 +4,10 @@ Two sample values are considered similar when they fall into the same
 bucket of ``floor((value + offset) / width)``.  The bucket width is drawn
 from a range that shrinks as the dataset grows, ``[1/log2(N), 1 - 1/log2(N)]``,
 which presumes roughly unit-scale data (see ``znormalize``).  Bucket keys
-are int64, so every key must lie in [-2**63, 2**63); data whose keys
-would leave that range is rejected with a :class:`ConfigurationError`.
-:func:`build_leaf_tables` proves the range from the dataset's largest
-magnitude and the leaf's narrowest width.  Only where that proof fails does
-it run :func:`key_bounds`, which checks the leaf's block from its two
-extremes, as keys are monotone in the value.
+are int64, so every key must lie in [-2**63, 2**63).  :func:`check_dataset`
+decides once per fit, from N and the dataset's largest magnitude alone,
+whether every key under every width the range allows fits; so what a fit
+accepts depends on neither its seed nor its number of trees.
 
 A leaf segment of a tree keeps only its ``h`` independently sampled
 bucketing functions.  The counts they induce (how many subsequences put
@@ -31,11 +29,10 @@ from .tstree import Segment
 __all__ = [
     "HashFn",
     "LeafTables",
+    "check_dataset",
     "sample_hash_fn",
     "build_leaf_tables",
 ]
-
-_KEY_LIMIT = 2.0**63  # int64 holds every integral float in [-2**63, 2**63)
 
 
 @dataclass(frozen=True)
@@ -54,23 +51,46 @@ class HashFn:
             )
 
 
+def _width_floor(n: int) -> float:
+    """The narrowest bucket width for a dataset of ``n`` subsequences."""
+    return 1.0 / math.log2(n)
+
+
+def check_dataset(n: int, peak: float) -> None:
+    """Refuse a dataset of ``n`` subsequences and largest magnitude ``peak``
+    unless every bucket key under every width it can draw fits int64.
+
+    Every width is at least lo = 1/log2(n) and every offset is below 1, so
+    no key's magnitude exceeds (peak + 1) / lo; rounding is monotone, so
+    that holds for the float keys too.  ``n`` is checked first: below 5
+    rows the width range is empty or degenerate.
+
+    Raises:
+        ConfigurationError: ``n`` <= 4, or (peak + 1) / lo >= 2**63.
+    """
+    if n <= 4:
+        raise ConfigurationError(
+            f"dataset too small for hash-width sampling range (need >= 5 rows, got {n})"
+        )
+    lo = _width_floor(n)
+    if not (peak + 1.0) / lo < 2.0**63:
+        raise ConfigurationError(
+            f"values up to {peak:.3g} can give bucket keys outside the int64 range "
+            f"under widths down to 1/log2({n}) = {lo:.3g}; the data must be near "
+            "unit scale, so z-normalize the rows (--normalize)"
+        )
+
+
 def sample_hash_fn(n: int, rng: np.random.Generator, h: int) -> tuple[HashFn, ...]:
     """Draw a leaf's ``h`` bucketing functions for a dataset of ``n`` subsequences.
 
     Each width is uniform on [1/log2(n), 1 - 1/log2(n)] and each offset
     uniform on [0, width].  One block of ``2 * h`` uniforms, taken with
     ``rng.uniform``'s arithmetic, gives bit for bit the functions of ``h``
-    sequential (width, offset) ``rng.uniform`` draws.  The range is empty
-    or degenerate for n <= 4.
-
-    Raises:
-        ConfigurationError: ``n`` <= 4.
+    sequential (width, offset) ``rng.uniform`` draws.  Unchecked: ``n``
+    must have passed :func:`check_dataset`.
     """
-    if n <= 4:
-        raise ConfigurationError(
-            f"dataset too small for hash-width sampling range (need >= 5 rows, got {n})"
-        )
-    lo = 1.0 / math.log2(n)
+    lo = _width_floor(n)
     u = rng.random(2 * h)
     widths = lo + ((1.0 - lo) - lo) * u[0::2]
     offsets = 0.0 + widths * u[1::2]
@@ -85,30 +105,6 @@ def bucket_keys(values: np.ndarray, offset, width) -> np.ndarray:
     return np.floor(keys, out=keys)
 
 
-def key_bounds(values: np.ndarray, fns: tuple[HashFn, ...] | list[HashFn]) -> None:
-    """Check that every bucket key of non-empty ``values`` under every
-    function of ``fns`` fits int64, from the keys of the two extremes.
-
-    Raises:
-        ConfigurationError: a value is NaN or infinite, or a key falls
-            outside [-2**63, 2**63) because the data is far off unit scale.
-    """
-    ends = np.array([values.min(), values.max()])
-    offsets, widths = np.array([(fn.offset, fn.width) for fn in fns]).T[:, :, None]
-    with np.errstate(over="ignore"):
-        bounds = bucket_keys(ends, offsets, widths).tolist()
-    # non-finite values and overflowing keys are non-finite: they fail this range test
-    admitted = [-_KEY_LIMIT <= lo and hi < _KEY_LIMIT for lo, hi in bounds]
-    if not all(admitted):
-        if not np.isfinite(ends).all():
-            raise ConfigurationError("NaN or infinite values have no bucket key")
-        raise ConfigurationError(
-            f"values up to {float(np.abs(ends).max()):.3g} give bucket keys outside "
-            f"the int64 range under width {fns[admitted.index(False)].width:.3g}; "
-            "the data must be near unit scale, so z-normalize the rows (--normalize)"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class LeafTables:
     """A leaf segment and the bucketing functions its counts are taken under."""
@@ -120,25 +116,10 @@ class LeafTables:
 def build_leaf_tables(
     dataset: LabeledDataset, segment: Segment, fns: tuple[HashFn, ...] | list[HashFn]
 ) -> LeafTables:
-    """Check that every key of ``dataset`` over ``segment`` fits int64.
+    """The leaf of ``dataset`` over ``segment``, under the functions ``fns``.
 
-    Rounding keeps the float keys in order, so no key's magnitude exceeds
-    (peak + 1) / width, where peak is the dataset's largest magnitude,
-    computed once per dataset.  Below 2**62 that proves the range.
-    Otherwise one array pass hashes the block's two extremes under every
-    function (see :func:`key_bounds`).
-
-    Raises:
-        ValueError: segment out of the dataset's 1..d range, or no hash
-            functions given.
-        ConfigurationError: a bucket key would not fit int64.
+    Unchecked: :func:`check_dataset` has already admitted ``dataset``, so
+    the leaf needs no check of its own.  ``dataset`` is unused; the call
+    keeps it for the trace hooks of ``benchmarks/``, which read the block.
     """
-    if segment.end > dataset.d:
-        raise ValueError(
-            f"segment [{segment.start}, {segment.end}] exceeds axis length {dataset.d}"
-        )
-    if len(fns) < 1:
-        raise ValueError("at least one hash function is required")
-    if not (dataset.peak + 1.0) / min(fn.width for fn in fns) < 2.0**62:
-        key_bounds(dataset.subsequences[:, segment.columns], fns)
     return LeafTables(segment, tuple(fns))

@@ -24,10 +24,9 @@ def validate_seed(seed: int) -> int:
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
-    """Generator for the stream addressed by ``path`` under ``seed``."""
-    return np.random.default_rng(
-        np.random.SeedSequence(validate_seed(seed), spawn_key=tuple(path))
-    )
+    """Generator for the stream addressed by ``path`` under ``seed``, a
+    seed that :func:`validate_seed` has returned."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:

@@ -71,18 +71,9 @@ def build_tstree(
     in preorder (a node, then its whole left subtree, then its right), so
     equal inputs and an equally seeded ``rng`` reproduce the tree exactly.
 
-    Raises:
-        ValueError: ``t_start > t_end``, negative ``hlimit``, or
-            ``slimit`` < 1.
+    Unchecked: ``fit`` passes 1 <= ``t_start`` <= ``t_end``, ``hlimit`` >= 0
+    and ``slimit`` >= 1.
     """
-    if t_start > t_end:
-        raise ValueError(f"invalid range: t_start={t_start} > t_end={t_end}")
-    if t_start < 1:
-        raise ValueError(f"time indices are 1-based, got t_start={t_start}")
-    if hlimit < 0:
-        raise ValueError(f"hlimit must be >= 0, got {hlimit}")
-    if slimit < 1:
-        raise ValueError(f"slimit must be >= 1, got {slimit}")
     segments: list[Segment] = []
     depths: list[int] = []
     stack = [(t_start, t_end, 0)]

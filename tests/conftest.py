@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dlde import LabeledDataset
-from dlde.hashing import HashFn, bucket_keys, key_bounds
+from dlde.hashing import HashFn, bucket_keys
 
 # a few dozen examples per property; fits vary too much in time for a deadline
 settings.register_profile("dlde", max_examples=40, deadline=None)
@@ -45,16 +45,18 @@ def write_labeled_file(
 def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
     """Bucket key ``floor((value + offset) / width)`` of every value, as int64.
 
-    Exact: the float64 floor of every admitted key fits int64 without
-    rounding, so it equals the key computed in Python integers.
+    Exact: the float64 floor of every key in [-2**63, 2**63) fits int64
+    without rounding, so it equals the key computed in Python integers.
 
     Raises:
-        ConfigurationError: as ``dlde.hashing.key_bounds``.
+        ValueError: a key is NaN or falls outside [-2**63, 2**63).
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.size:
-        key_bounds(values, (fn,))
-    return bucket_keys(values.ravel(), fn.offset, fn.width).astype(np.int64).reshape(values.shape)
+    with np.errstate(over="ignore"):
+        keys = bucket_keys(values.ravel(), fn.offset, fn.width)
+    if not ((-(2.0**63) <= keys) & (keys < 2.0**63)).all():
+        raise ValueError("bucket keys outside the int64 range")
+    return keys.astype(np.int64).reshape(values.shape)
 
 
 def tree_model_state(model) -> tuple:

@@ -127,6 +127,23 @@ class TestDetect:
         _, rows = _read_csv(out)
         assert all(1.0 <= float(r["score"]) <= 10 * 12 for r in rows)
 
+    def test_key_range_refusal_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        # at peak 3.5e18 on 8 rows, the drawn widths used to decide: --seed 0
+        # exited 0 and --seed 1 exited 2
+        ds = random_dataset(np.random.default_rng(6), 8, 8)
+        path = tmp_path / "band.csv"
+        write_labeled_file(type(ds)(ds.subsequences / np.abs(ds.subsequences).max() * 3.5e18,
+                                    ds.labels), path)
+        errors = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"scores{seed}.csv"
+            argv = ["detect", "--input", str(path), "--trees", "2", "--seed", seed]
+            assert main(argv + ["--output", str(out)]) == EXIT_CONFIG
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].count("\n") == 1 and "--normalize" in errors[0]
+
     def test_overflowing_key_prints_only_the_error(self, tmp_path):
         # 1.7e308 / width overflows float64; a separate process shows whether
         # numpy's overflow warning reaches stderr beside the exit-2 message

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from itertools import islice
 
 import numpy as np
@@ -13,10 +14,10 @@ import dlde.hashing
 from dlde import ConfigurationError, LabeledDataset, fit, score
 from dlde.density import leaf_point_densities
 from dlde.forest import _tree_sums, anomaly_scores
-from dlde.hashing import bucket_keys
+from dlde.hashing import HashFn, bucket_keys
 from dlde.tstree import Segment, leaves
 
-from conftest import matrices, random_dataset, tree_model_state
+from conftest import hash_keys, matrices, random_dataset, tree_model_state
 from reference import hash_value, tree_point_densities
 
 
@@ -120,7 +121,8 @@ class TestFit:
         with pytest.raises(ConfigurationError, match="too small"):
             fit(ds, seed=0)
 
-    @pytest.mark.parametrize("value", [1e19, -1e19])
+    # 1.7e308 is finite, but its keys overflow float64 too
+    @pytest.mark.parametrize("value", [1e19, -1e19, 1e300, 1.7e308])
     def test_keys_beyond_int64_rejected(self, value):
         # the int64 cast used to map every such value to INT64_MIN
         ds = random_dataset(np.random.default_rng(2), 8, 8)
@@ -130,17 +132,17 @@ class TestFit:
             fit(LabeledDataset(x, ds.labels), seed=0)
 
     def test_off_scale_message(self):
-        # exact text, recorded before the range check moved to one array
-        # pass over each block's extremes
+        # exact text: it names the narrowest width any draw can give, not
+        # the width one draw gave
         ds = random_dataset(np.random.default_rng(2), 8, 8)
         x = ds.subsequences.copy()
         x[5, 3] = -1e19
         with pytest.raises(ConfigurationError) as exc:
             fit(LabeledDataset(x, ds.labels), seed=0)
         assert str(exc.value) == (
-            "values up to 1e+19 give bucket keys outside the int64 range under "
-            "width 0.631; the data must be near unit scale, so z-normalize the rows "
-            "(--normalize)"
+            "values up to 1e+19 can give bucket keys outside the int64 range under "
+            "widths down to 1/log2(8) = 0.333; the data must be near unit scale, so "
+            "z-normalize the rows (--normalize)"
         )
 
     def test_large_admitted_keys_match_bruteforce(self):
@@ -165,6 +167,62 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(3), 8, 8)
         with pytest.raises(ConfigurationError):
             fit(ds, **kwargs)
+
+
+def _scaled_8x8(peak: float) -> LabeledDataset:
+    """8 x 8 Gaussian rows scaled so that their largest magnitude is ``peak``."""
+    ds = random_dataset(np.random.default_rng(6), 8, 8)
+    return LabeledDataset(ds.subsequences / np.abs(ds.subsequences).max() * peak, ds.labels)
+
+
+# lo = 1/log2(8) rounds to just below 1/3; (peak + 1) / lo < 2**63 admits
+# peaks up to this float, about 3.07e18, and refuses the next one up
+LARGEST_PEAK_8 = float.fromhex("0x1.5555555555554p+61")
+
+
+class TestKeyRange:
+    """What fit accepts depends on N and the largest magnitude alone, not on
+    the widths that a seed or the number of trees happens to draw."""
+
+    # at peak 3.5e18 the drawn widths used to decide: fit(m=2) accepted it
+    # for seed 0 and refused it for seed 1, and fit(m=5) refused both
+    @pytest.mark.parametrize("m", [1, 2, 10])
+    def test_band_refused_for_every_seed(self, m):
+        ds = _scaled_8x8(3.5e18)
+        assert ds.peak == 3.5e18
+        for seed in range(8):
+            with pytest.raises(ConfigurationError, match="--normalize"):
+                fit(ds, m=m, seed=seed)
+
+    def test_largest_admitted_peak_fits_for_every_seed_and_m(self):
+        ds = _scaled_8x8(LARGEST_PEAK_8)
+        x = ds.subsequences
+        assert ds.peak == LARGEST_PEAK_8
+        for m in (1, 10):
+            for seed in range(8):
+                fit(ds, m=m, seed=seed)
+        # a width of exactly lo is the narrowest a draw can give (u = 0)
+        lo = 1.0 / math.log2(8)
+        for offset in (0.0, lo / 2, lo):
+            fn = HashFn(lo, offset)
+            assert hash_keys(fn, x).tolist() == [[hash_value(fn, v) for v in row] for row in x.tolist()]
+        model = fit(ds, m=1, h=3, seed=0).trees[0]
+        got = np.concatenate(
+            [leaf_point_densities(x, model.leaf_tables[s]) for s in leaves(model.tree)], axis=1
+        )
+        fns = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
+        np.testing.assert_array_equal(got, tree_point_densities(x.tolist(), model.tree, fns))
+        with pytest.raises(ConfigurationError, match="--normalize"):
+            fit(_scaled_8x8(float(np.nextafter(LARGEST_PEAK_8, np.inf))), m=1, seed=0)
+
+    def test_errors_in_order(self):
+        # parameters first, then too few rows, then the key range
+        ds = random_dataset(np.random.default_rng(2), 4, 8)
+        huge = LabeledDataset(ds.subsequences * 1e19, ds.labels)
+        with pytest.raises(ConfigurationError, match="tree count"):
+            fit(huge, m=0, seed=0)
+        with pytest.raises(ConfigurationError, match="too small"):
+            fit(huge, seed=0)
 
 
 class TestDeterminism:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-import dlde.hashing
+import dlde.forest
 from dlde import ConfigurationError, LabeledDataset, fit
 from dlde.density import leaf_point_densities
-from dlde.hashing import HashFn, build_leaf_tables, key_bounds, sample_hash_fn
+from dlde.hashing import HashFn, build_leaf_tables, check_dataset, sample_hash_fn
 from dlde.seeding import HASH_STREAM, spawn_rng
 from dlde.tstree import Segment
 
@@ -34,10 +34,12 @@ class TestSampleHashFn:
         for fn in sample_hash_fn(32, rng, 200):
             assert 0.0 <= fn.offset <= fn.width
 
+    # the width range is empty or degenerate for n <= 4; fit refuses such a
+    # dataset once, before any leaf samples its functions
     @pytest.mark.parametrize("n", [4, 3, 2, 1, 0])
     def test_small_datasets_rejected(self, n):
         with pytest.raises(ConfigurationError, match="too small"):
-            sample_hash_fn(n, np.random.default_rng(0), 1)
+            check_dataset(n, 0.0)
 
     def test_deterministic_under_seed(self):
         a = sample_hash_fn(20, np.random.default_rng(7), 10)
@@ -99,19 +101,19 @@ class TestHashValue:
         assert keys.dtype == np.int64
         assert keys.tolist() == [hash_value(fn, value), 0]
 
-    # 1.7e308 is finite but its key overflows to infinity: still a scale problem
+    # The helper refuses what it cannot cast exactly; fit refuses such data
+    # first (test_forest.py).  1.7e308 is finite but its key overflows.
     @pytest.mark.parametrize("value", [2.0**62, -(2.0**62 + 1024), 1e19, -1e19, 1e300, 1.7e308])
     def test_keys_beyond_int64_rejected(self, value):
-        with pytest.raises(ConfigurationError, match="outside the int64 range.*--normalize"):
+        with pytest.raises(ValueError, match="outside the int64 range"):
             hash_keys(HashFn(width=0.5, offset=0.0), np.array([0.25, value]))
 
     # Datasets reject non-finite values before hashing; hash_keys must not
-    # cast them to int64 garbage if one gets through, nor blame the scale.
+    # cast them to int64 garbage if one gets through.
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ConfigurationError, match="NaN or infinite") as exc:
-            hash_keys(HashFn(0.5, 0.25), np.array([0.25, bad, 1e19]))
-        assert "normalize" not in str(exc.value)
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            hash_keys(HashFn(0.5, 0.25), np.array([0.25, bad]))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -194,69 +196,11 @@ class TestBuildLeafTables:
         got = leaf_point_densities(ds.subsequences, tables)
         assert got.tolist() == [[2.0, 5.0], [3.5, 5.0], [3.0, 3.5]]
 
-    def test_keys_beyond_int64_rejected(self):
-        ds = LabeledDataset([[0.1, 0.2, 2.0**62, 0.3]], [0])
-        with pytest.raises(ConfigurationError, match="--normalize"):
-            build_leaf_tables(ds, Segment(2, 4), [HashFn(0.5, 0.0)])
-        build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0)])
-        # the block minimum overflows under width 0.25 (key -2**64); under
-        # width 0.5 its key is -2**63, the smallest int64, and is admitted
-        low = LabeledDataset([[0.1, -(2.0**62), 0.2, 0.3]], [0])
-        with pytest.raises(ConfigurationError, match="--normalize"):
-            build_leaf_tables(low, Segment(1, 3), [HashFn(0.5, 0.0), HashFn(0.25, 0.0)])
-        build_leaf_tables(low, Segment(1, 3), [HashFn(0.5, 0.0)])
-
-    # Exact texts, recorded before the range check moved to one array pass
-    # over each block's extremes.  The first failing function in order is
-    # named; datasets reject NaN, so only a direct key_bounds call can meet
-    # one.  The scoring kernel checks nothing: fit checked every leaf block.
-    def test_kernel_off_scale_message_names_first_failing_function(self):
-        ds = random_dataset(np.random.default_rng(3), 8, 8)
-        fns = [HashFn(0.9, 0.0), HashFn(0.4, 0.1), HashFn(0.2, 0.1)]
-        x = ds.subsequences.copy()
-        x[3, 2] = 2.0**62
-        with pytest.raises(ConfigurationError) as exc:
-            build_leaf_tables(LabeledDataset(x, ds.labels), Segment(2, 5), fns)
-        assert str(exc.value) == (
-            "values up to 4.61e+18 give bucket keys outside the int64 range under "
-            "width 0.4; the data must be near unit scale, so z-normalize the rows "
-            "(--normalize)"
-        )
-
-    def test_kernel_nan_message(self):
-        ds = random_dataset(np.random.default_rng(3), 8, 8)
-        x = ds.subsequences.copy()
-        x[3, 2] = np.nan
-        with pytest.raises(ConfigurationError) as exc:
-            key_bounds(x[:, Segment(2, 5).columns], [HashFn(0.5, 0.1), HashFn(0.3, 0.2)])
-        assert str(exc.value) == "NaN or infinite values have no bucket key"
-
-    def test_segment_outside_axis_rejected(self):
-        ds = _identical_rows(5, 6)
-        with pytest.raises(ValueError, match="exceeds"):
-            build_leaf_tables(ds, Segment(4, 7), [HashFn(0.5, 0.0)])
-
-    def test_requires_hash_functions(self):
-        ds = _identical_rows(5, 6)
-        with pytest.raises(ValueError, match="at least one"):
-            build_leaf_tables(ds, Segment(1, 6), [])
-
 
 class TestRangeProof:
-    """build_leaf_tables proves the key range from the dataset's largest
-    magnitude, and runs key_bounds on a leaf only where that proof fails."""
-
-    @staticmethod
-    def _spy(monkeypatch) -> list:
-        """The shape of each block key_bounds checks."""
-        calls = []
-
-        def spy(values, fns):
-            calls.append(values.shape)
-            return key_bounds(values, fns)
-
-        monkeypatch.setattr(dlde.hashing, "key_bounds", spy)
-        return calls
+    """fit admits a dataset once, by one rule on N and its largest
+    magnitude: (peak + 1) / lo < 2**63, where lo = 1/log2(N) is the
+    narrowest width any draw can give."""
 
     def test_peak_is_largest_magnitude(self):
         ds = LabeledDataset([[0.5, -3.0, 2.0, 1.0], [0.0, 2.5, -0.25, 1.5]], [0, 0])
@@ -264,41 +208,37 @@ class TestRangeProof:
         assert LabeledDataset(-ds.subsequences, ds.labels).peak == 3.0
 
     def test_unit_scale_fits_are_proved(self, monkeypatch):
-        calls = self._spy(monkeypatch)
-        for seed in range(3):
-            fit(random_dataset(np.random.default_rng(seed), 30, 24, anomalies=3), m=3, seed=seed)
-        assert calls == []
-
-    def test_unproved_leaves_are_checked(self, monkeypatch):
-        # at 1e18 scale the peak proves no leaf, but every key fits int64
-        calls = self._spy(monkeypatch)
-        ds = random_dataset(np.random.default_rng(6), 8, 8)
-        forest = fit(LabeledDataset(ds.subsequences * 1e18, ds.labels), m=2, seed=0)
-        segments = [seg for model in forest.trees for seg in model.tree.segments]
-        assert calls == [(8, seg.length) for seg in segments]
-
-    def test_off_scale_fit_message_unchanged(self):
-        # exact text of the release before the range proof
-        ds = random_dataset(np.random.default_rng(6), 8, 8)
-        with pytest.raises(ConfigurationError) as exc:
-            fit(LabeledDataset(ds.subsequences * 3e18, ds.labels), m=2, seed=0)
-        assert str(exc.value) == (
-            "values up to 4.8e+18 give bucket keys outside the int64 range under "
-            "width 0.484; the data must be near unit scale, so z-normalize the rows "
-            "(--normalize)"
+        # one spy: the dataset is checked once per fit, however many trees
+        calls = []
+        monkeypatch.setattr(
+            dlde.forest, "check_dataset", lambda *args: calls.append(args) or check_dataset(*args)
         )
+        ds = random_dataset(np.random.default_rng(0), 30, 24, anomalies=3)
+        for m in (1, 3, 10):
+            fit(ds, m=m, seed=m)
+        assert calls == [(30, ds.peak)] * 3
 
-    # The narrowest width, 0.5, needs (peak + 1) * 2 < 2**62.  Floats just
-    # below 2**61 are 256 apart, so the one below it is proved, and 2**61,
-    # whose keys reach 2**62 and still fit int64, is checked.  The peak
-    # sits outside the leaf's columns: it is the dataset's.
+    # At N = 16, lo = 0.25 exactly, so the rule needs peak + 1 < 2**61.
+    # Floats just below 2**61 are 256 apart: the one below it is the
+    # largest admitted peak, whose keys under width lo reach 2**63 - 1024,
+    # and 2**61 is refused.  The peak's sign does not matter.
     @pytest.mark.parametrize(
-        "peak, checked",
+        "peak, refused",
         [(2.0**61 - 256, False), (2.0**61, True), (-(2.0**61 - 256), False), (-(2.0**61), True)],
     )
-    def test_peak_either_side_of_the_threshold(self, monkeypatch, peak, checked):
-        calls = self._spy(monkeypatch)
-        ds = LabeledDataset([[0.1, 0.2, peak, 0.3]], [0])
+    def test_peak_either_side_of_the_threshold(self, peak, refused):
+        x = np.random.default_rng(9).normal(size=(16, 6))
+        x[11, 4] = peak
+        ds = LabeledDataset(x, np.zeros(16, int))
         assert ds.peak == abs(peak)
-        build_leaf_tables(ds, Segment(1, 2), [HashFn(0.75, 0.1), HashFn(0.5, 0.0)])
-        assert calls == ([(1, 2)] if checked else [])
+        if refused:
+            for seed, m in [(0, 1), (1, 1), (0, 10)]:
+                with pytest.raises(ConfigurationError, match="--normalize"):
+                    fit(ds, m=m, h=2, seed=seed)
+            return
+        for seed in range(8):
+            fit(ds, m=1, h=2, seed=seed)
+        fit(ds, m=10, h=2, seed=0)
+        for offset in (0.0, 0.125, 0.25):
+            fn = HashFn(0.25, offset)
+            assert hash_keys(fn, x).tolist() == [[hash_value(fn, v) for v in row] for row in x.tolist()]

@@ -98,22 +98,6 @@ def test_full_binary_depth_sequences(depths, full):
 
 
 class TestBuildValidation:
-    def test_inverted_range(self):
-        with pytest.raises(ValueError, match="invalid range"):
-            build_tstree(5, 4, 3, 3, np.random.default_rng(0))
-
-    def test_zero_based_start_rejected(self):
-        with pytest.raises(ValueError, match="1-based"):
-            build_tstree(0, 4, 3, 3, np.random.default_rng(0))
-
-    def test_negative_hlimit(self):
-        with pytest.raises(ValueError, match="hlimit"):
-            build_tstree(1, 4, -1, 3, np.random.default_rng(0))
-
-    def test_zero_slimit(self):
-        with pytest.raises(ValueError, match="slimit"):
-            build_tstree(1, 4, 3, 0, np.random.default_rng(0))
-
     def test_segment_validation(self):
         with pytest.raises(ValueError):
             Segment(4, 3)

@@ -10,7 +10,7 @@ Exit codes:
     2  configuration error (also used by argparse for usage errors)
     3  input file could not be parsed
     4  metric undefined for the input (e.g. single-class labels)
-    5  I/O failure
+    5  I/O failure, also an input that is a pipe (it is read more than once)
     1  unexpected internal error
 """
 
@@ -200,6 +200,8 @@ def _write_atomic(path: str, text: str) -> None:
             dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
         )
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.umask(umask := os.umask(0o077))  # read the umask, which only setting it returns
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives, not mkstemp's 0600
             fh.write(text)
         os.replace(tmp, target)
     except BaseException as exc:

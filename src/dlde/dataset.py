@@ -5,9 +5,10 @@ the class label in the first field, the sample values in the remaining
 fields, comma or tab separated.  Long unlabeled series are cut into
 fixed-length windows with :func:`window_series`.
 
-numpy's C text reader reads each file first.  A file it refuses is walked
+Each input is opened once, as UTF-8 text, and rewound for each reader:
+numpy's C text reader reads it first, and an input it refuses is walked
 field by field, which accepts it as ``float()`` does or names the first bad
-field.
+field.  The file name is not interpreted, and a pipe is refused.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -113,42 +114,34 @@ def _parse_field(raw: str, lineno: int, column: int) -> float:
     return value
 
 
-def _numbered_lines(path: str | Path):
-    """The numbered lines of a file, read lazily; lines end at LF, CRLF or
-    CR only.  A line that is not UTF-8 is an :class:`InputFormatError`
-    naming it, raised when the reader reaches it, after every earlier line."""
-    read = 0
-    try:
-        with Path(path).open(encoding="utf-8-sig") as fh:
-            for read, line in enumerate(fh, start=1):
-                yield read, line
-        return
-    except UnicodeDecodeError:
-        pass
-    # The text reader decodes ahead, a chunk at a time: go on from the last
-    # line it gave, a line at a time, splitting bytes where it splits text.
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        if lineno > read:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputFormatError(f"line {lineno}, byte {exc.start + 1}: not UTF-8 text") from None
-            yield lineno, line.removeprefix("\ufeff") if lineno == 1 else line
-
-
 @contextmanager
 def _data_lines(path: str | Path, delimiter: str | None):
-    """The field separator, from the first non-blank line, and the numbered
-    non-blank lines of :func:`_numbered_lines`, without line ends."""
-    numbered = _numbered_lines(path)
-    try:
-        lines = ((no, line.rstrip("\n")) for no, line in numbered if line.strip())
-        first = next(lines, None)
+    """The input, opened once as text, its field separator from the first
+    non-blank line, and its numbered non-blank lines without line ends, read
+    lazily from the top.  Lines end at LF, CRLF or CR only; a byte that is not
+    UTF-8 is read as a lone surrogate, and its line named when reached.  Each
+    reader rewinds the input, so a pipe is an :class:`OSError`."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        if not fh.seekable():
+            raise OSError(f"{path}: the input is read more than once, so it must be a file, not a pipe")
+        bom_len = 3 if fh.buffer.read(3) == b"\xef\xbb\xbf" else 0  # line 1's bytes count it
+
+        def lines():
+            fh.seek(0)
+            for lineno, line in enumerate(fh, start=1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        byte = exc.start + 1 + (bom_len if lineno == 1 else 0)
+                        raise InputFormatError(f"line {lineno}, byte {byte}: not UTF-8 text") from None
+                if line.strip():
+                    yield lineno, line.rstrip("\n")
+
+        first = next(lines(), None)
         if first is None:
             raise EmptyInputError(f"{path}: no data lines found")
-        yield _detect_delimiter(first[1], delimiter), chain([first], lines)
-    finally:
-        numbered.close()
+        yield _detect_delimiter(first[1], delimiter), fh, lines()
 
 
 # Whitespace to numpy's C reader, which strips them from a field's ends, but
@@ -156,23 +149,25 @@ def _data_lines(path: str | Path, delimiter: str | None):
 _C_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _c_table(path: str | Path, sep: str) -> np.ndarray | None:
-    """Every field of the file as a 2-D float64 table, read by numpy's C
-    reader, or ``None`` when it refuses the file or a value is not finite.
+def _c_table(fh: TextIO, sep: str) -> np.ndarray | None:
+    """Every field of the open input as a 2-D float64 table, read by numpy's
+    C reader, or ``None`` when it refuses the input or a value is not finite.
 
     Where it accepts, each value is ``float()``'s: both convert through
     CPython's string-to-double routine.  It refuses what only ``float()``
-    reads (``1_0``, non-ASCII digits), ragged rows, empty fields and
-    whitespace-only lines; the field walk then decides what the file holds.
+    reads (``1_0``, non-ASCII digits), ragged rows, empty fields,
+    whitespace-only lines and bytes that are not UTF-8; the field walk then
+    decides what the input holds.
     """
-    with Path(path).open("rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if any(c in chunk for c in _C_ONLY_SPACE):
-                return None
+    fh.seek(0)
+    while chunk := fh.buffer.read(1 << 20):
+        if any(c in chunk for c in _C_ONLY_SPACE):
+            return None
+    fh.seek(0)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            table = np.loadtxt(path, delimiter=sep, comments=None, encoding="utf-8-sig", ndmin=2)
+            table = np.loadtxt(fh, delimiter=sep, comments=None, ndmin=2)
     except (TypeError, ValueError):  # TypeError: a newline separator
         return None
     return None if caught or not np.isfinite(table).all() else table
@@ -235,9 +230,10 @@ def parse_labeled_file(
         EmptyInputError: The file has no data lines.
         InputFormatError: Ragged rows or non-numeric fields, reported with
             line (and column) numbers.
+        OSError: The file cannot be opened, or is a pipe.
     """
-    with _data_lines(path, delimiter) as (sep, lines):
-        rows = _c_table(path, sep)
+    with _data_lines(path, delimiter) as (sep, fh, lines):
+        rows = _c_table(fh, sep)
         if rows is None or rows.shape[1] < 5:
             rows = _walk_labeled(sep, lines)
     if anomaly_class is None:
@@ -257,9 +253,10 @@ def parse_raw_series(path: str | Path, *, delimiter: str | None = None) -> np.nd
         EmptyInputError: No field holds a value.
         InputFormatError: A non-numeric or non-finite field, reported with
             its line and column numbers.
+        OSError: The file cannot be opened, or is a pipe.
     """
-    with _data_lines(path, delimiter) as (sep, lines):
-        table = _c_table(path, sep)
+    with _data_lines(path, delimiter) as (sep, fh, lines):
+        table = _c_table(fh, sep)
         if table is not None:
             return table.ravel()
         values = _walk_raw(sep, lines)

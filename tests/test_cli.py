@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import json
 import os
+import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -207,6 +210,54 @@ class TestDetect:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == f"dlde: input error: {where}: not UTF-8 text\n"
         assert not (tmp_path / "o.csv").exists()
+
+    # a name such as .gz names no format: the input is read as plain text
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_file_names_are_not_interpreted(self, tmp_path, capsys, suffix):
+        data = _write_dataset(tmp_path)
+        named = shutil.copy(data, tmp_path / f"data.csv{suffix}")
+        argv = ["detect", "--seed", "2", "--output"]
+        assert main([*argv, str(tmp_path / "plain.csv"), "--input", str(data)]) == EXIT_OK
+        assert main([*argv, str(tmp_path / "named.csv"), "--input", str(named)]) == EXIT_OK
+        assert _read_csv(tmp_path / "named.csv")[1] == _read_csv(tmp_path / "plain.csv")[1]
+        real = tmp_path / "real.csv.gz"
+        real.write_bytes(gzip.compress(data.read_bytes()))
+        code = main(["detect", "--input", str(real), "--output", str(tmp_path / "o.csv")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "dlde: input error: line 1, byte 2: not UTF-8 text\n"
+
+    # each reader rewinds the input, which a pipe cannot do
+    def test_piped_input_exits_io(self, tmp_path, capsys):
+        series = heartbeat_series(n_windows=60, s=20, anomaly_at=7, seed=5)
+        data = "".join(f"{v:.12f}\n" for v in series).encode()  # about 19 KB
+        assert len(data) < 1 << 16  # under the pipe's capacity, so the write cannot block
+        read_end, write_end = os.pipe()
+        try:
+            try:
+                assert os.write(write_end, data) == len(data)
+            finally:
+                os.close(write_end)
+            source, out = f"/dev/fd/{read_end}", tmp_path / "o.csv"
+            code = main(["detect", "--input", source, "--subseq-len", "20", "--output", str(out)])
+        finally:
+            os.close(read_end)
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and source in err
+        assert list(tmp_path.iterdir()) == []
+
+    # the temporary file's 0600 would survive the rename
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_artifact_mode_follows_the_umask(self, tmp_path, umask, mode):
+        data = _write_dataset(tmp_path)
+        out = tmp_path / "scores.csv"
+        previous = os.umask(umask)
+        try:
+            for _ in range(2):  # a rewrite gives the same mode
+                assert main(["detect", "--input", str(data), "--output", str(out)]) == EXIT_OK
+                assert stat.S_IMODE(out.stat().st_mode) == mode
+        finally:
+            os.umask(previous)
 
     def test_raw_input_of_only_separators_exits_input(self, tmp_path, capsys):
         path = tmp_path / "f.txt"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import shutil
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,7 +269,7 @@ def _outcome(parse, path, **kwargs) -> list | tuple:
 def _walk_only(parse, path, **kwargs) -> list | tuple:
     """:func:`_outcome` with the C reader refusing every file."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dataset, "_c_table", lambda path, sep: None)
+        mp.setattr(dataset, "_c_table", lambda fh, sep: None)
         return _outcome(parse, path, **kwargs)
 
 
@@ -276,6 +279,18 @@ def _spy(monkeypatch, name: str) -> list:
     func = getattr(dataset, name)
     monkeypatch.setattr(dataset, name, lambda *args: calls.append(args) or func(*args))
     return calls
+
+
+_open_logs: list[list] = []  # each collects the files opened while it is listed
+
+
+def _log_opens(event: str, args: tuple) -> None:
+    if event == "open":
+        for log in _open_logs:
+            log.append(args[0])
+
+
+sys.addaudithook(_log_opens)  # sees every open, numpy's included; hooks cannot be removed
 
 
 class TestReadPath:
@@ -396,6 +411,50 @@ class TestReadPath:
         with pytest.raises(InputFormatError) as info:
             parse_raw_series(path)
         assert str(info.value) == "line 4001, byte 5: not UTF-8 text"
+
+    # the BOM's 3 bytes count on line 1, where they stand, and on no other line
+    @pytest.mark.parametrize("parse", [parse_labeled_file, parse_raw_series])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xef\xbb\xbf1,\xff2,3,4,5\n", "line 1, byte 6: not UTF-8 text"),
+            (b"\xef\xbb\xbf1,2,3,4,5\n1,\xff2,3,4,5\n", "line 2, byte 3: not UTF-8 text"),
+            (b"\xef\xbb1,2,3,4,5\n", "line 1, byte 1: not UTF-8 text"),
+        ],
+    )
+    def test_byte_count_of_line_one_includes_the_bom(self, tmp_path, parse, data, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        assert _outcome(parse, path) == (InputFormatError, message)
+
+    @pytest.mark.parametrize("parse", [parse_labeled_file, parse_raw_series])
+    @pytest.mark.parametrize(
+        "data",
+        [b"1,1,2,3,4\n0,5,6,7,8\n", b"1_0,1,2,3,4\n0,5,6,7,8\n", b"1,1,2,3,4\n0,5,6,7,\xff8\n"],
+        ids=["c-reader", "refused", "not-utf8"],
+    )
+    def test_each_parse_opens_its_input_once(self, tmp_path, monkeypatch, parse, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"read_bytes({self})"))
+        opened: list = []
+        _open_logs.append(opened)
+        try:
+            _outcome(parse, path)
+        finally:
+            _open_logs.remove(opened)
+        assert [str(p) for p in opened].count(str(path)) == 1  # modules may load too
+
+    # numpy reads a named file through a decompressor its suffix names; the
+    # input is read as text whatever its name
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_file_names_are_not_interpreted(self, tmp_path, suffix):
+        plain = tmp_path / "data.csv"
+        plain.write_text("1,1,2,3,4\n0,5,6,7,8\n", encoding="utf-8")
+        named = shutil.copy(plain, tmp_path / f"data.csv{suffix}")
+        for parse, kwargs in [(parse_labeled_file, {"anomaly_class": 1}), (parse_raw_series, {})]:
+            outcome = _outcome(parse, named, **kwargs)
+            assert isinstance(outcome, list) and outcome == _outcome(parse, plain, **kwargs)
 
     def test_numpy_warning_refuses_and_does_not_escape(self, tmp_path, monkeypatch):
         loadtxt = np.loadtxt

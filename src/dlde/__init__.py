@@ -23,7 +23,7 @@ from .errors import (
     MetricError,
 )
 from .evaluation import ExperimentConfig, ExperimentReport, auc, run_experiment, sweep
-from .forest import ForestParams, ScoreVector, TSForest, fit, score
+from .forest import ScoreVector, TSForest, fit, score
 
 # not in __all__, but the oracle check in benchmarks/run.py reads both as dlde.<name>
 from .density import leaf_point_densities
@@ -38,7 +38,6 @@ __all__ = [
     "parse_raw_series",
     "window_series",
     "znormalize",
-    "ForestParams",
     "TSForest",
     "ScoreVector",
     "fit",

@@ -245,7 +245,7 @@ def _run_detect(args: argparse.Namespace) -> None:
         {
             "anomaly_class": args.anomaly_class,
             "subseq_len": args.subseq_len,
-            "hlimit_resolved": forest.params.hlimit,
+            "hlimit_resolved": forest.hlimit,
             "n": dataset.n,
             "d": dataset.d,
         },

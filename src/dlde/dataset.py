@@ -8,12 +8,14 @@ fixed-length windows with :func:`window_series`.
 Each input is opened once, as UTF-8 text, and rewound for each reader:
 numpy's C text reader reads it first, and an input it refuses is walked
 field by field, which accepts it as ``float()`` does or names the first bad
-field.  The file name is not interpreted, and a pipe is refused.
+field.  The file name is not interpreted, and a pipe or named FIFO is refused.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import warnings
 from array import array
 from collections.abc import Iterable
@@ -120,10 +122,14 @@ def _data_lines(path: str | Path, delimiter: str | None):
     non-blank line, and its numbered non-blank lines without line ends, read
     lazily from the top.  Lines end at LF, CRLF or CR only; a byte that is not
     UTF-8 is read as a lone surrogate, and its line named when reached.  Each
-    reader rewinds the input, so a pipe is an :class:`OSError`."""
+    reader rewinds the input, so a pipe is an :class:`OSError`, raised before
+    opening a named FIFO, which would wait for a writer."""
+    pipe = OSError(f"{path}: the input is read more than once, so it must be a file, not a pipe")
+    if stat.S_ISFIFO(os.stat(path).st_mode):
+        raise pipe
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         if not fh.seekable():
-            raise OSError(f"{path}: the input is read more than once, so it must be a file, not a pipe")
+            raise pipe
         bom_len = 3 if fh.buffer.read(3) == b"\xef\xbb\xbf" else 0  # line 1's bytes count it
 
         def lines():

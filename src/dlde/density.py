@@ -138,7 +138,7 @@ def row_densities(
     """Per-row subsequence densities under one tree, for all N rows at once.
 
     Row ``k``'s density is the mean of its d point densities.  Unchecked:
-    ``x`` is the fitted matrix, ``tree.d`` columns wide.
+    ``x`` is the fitted matrix, and ``tree``'s leaves partition its columns.
     """
     n, d = x.shape
     # Leaf blocks fill a C-ordered (N, d) per-point density matrix in

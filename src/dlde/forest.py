@@ -29,7 +29,6 @@ from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, validate_seed
 from .tstree import Segment, TSTree, build_tstree
 
 __all__ = [
-    "ForestParams",
     "TreeModel",
     "TSForest",
     "ScoreVector",
@@ -37,17 +36,6 @@ __all__ = [
     "score",
     "anomaly_scores",
 ]
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    """Resolved fit parameters (hlimit after the log2(d) default applies)."""
-
-    m: int
-    h: int
-    slimit: int
-    hlimit: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -59,7 +47,7 @@ class TreeModel:
 @dataclass(frozen=True)
 class TSForest:
     trees: tuple[TreeModel, ...]
-    params: ForestParams
+    hlimit: int  # resolved: floor(log2(d)) when fit was given None
     n: int
     d: int
     digest: str  # sha256 of the fitted matrix's bytes
@@ -128,17 +116,14 @@ def fit(
 
     trees = []
     for i in range(m):
-        tree = build_tstree(
-            1, dataset.d, resolved_hlimit, slimit, spawn_rng(seed, TREE_STREAM, i)
-        )
+        tree = build_tstree(dataset.d, resolved_hlimit, slimit, spawn_rng(seed, TREE_STREAM, i))
         tables: dict[Segment, LeafTables] = {}
         for ordinal, segment in enumerate(tree.segments):
             fns = sample_hash_fn(dataset.n, spawn_rng(seed, HASH_STREAM, i, ordinal), h)
             tables[segment] = build_leaf_tables(dataset, segment, fns)
         trees.append(TreeModel(tree=tree, leaf_tables=tables))
 
-    params = ForestParams(m=m, h=h, slimit=slimit, hlimit=resolved_hlimit, seed=seed)
-    return TSForest(trees=tuple(trees), params=params, n=dataset.n, d=dataset.d,
+    return TSForest(trees=tuple(trees), hlimit=resolved_hlimit, n=dataset.n, d=dataset.d,
                     digest=_digest(dataset))
 
 
@@ -149,7 +134,7 @@ def score(forest: TSForest, dataset: LabeledDataset) -> ScoreVector:
         ValueError: dataset is not the fitted one.
     """
     *_, acc = _tree_sums(forest, dataset)
-    scores = acc / forest.params.m
+    scores = acc / len(forest.trees)
     return ScoreVector(scores=scores, anomaly_scores=anomaly_scores(scores))
 
 

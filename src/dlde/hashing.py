@@ -42,14 +42,6 @@ class HashFn:
     width: float
     offset: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.width < 1.0):
-            raise ValueError(f"width must lie in (0, 1), got {self.width}")
-        if not (0.0 <= self.offset <= self.width):
-            raise ValueError(
-                f"offset must lie in [0, width={self.width}], got {self.offset}"
-            )
-
 
 def _width_floor(n: int) -> float:
     """The narrowest bucket width for a dataset of ``n`` subsequences."""

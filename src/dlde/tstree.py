@@ -24,10 +24,6 @@ class Segment:
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.start <= self.end):
-            raise ValueError(f"invalid segment [{self.start}, {self.end}]")
-
     @property
     def length(self) -> int:
         return self.end - self.start + 1
@@ -49,20 +45,9 @@ class TSTree:
     segments: tuple[Segment, ...]
     depths: tuple[int, ...]
 
-    @property
-    def d(self) -> int:
-        """Time-axis length for trees spanning 1..d."""
-        return self.segments[-1].end
 
-
-def build_tstree(
-    t_start: int,
-    t_end: int,
-    hlimit: int,
-    slimit: int,
-    rng: np.random.Generator,
-) -> TSTree:
-    """Grow a random split tree over the index range [t_start, t_end].
+def build_tstree(d: int, hlimit: int, slimit: int, rng: np.random.Generator) -> TSTree:
+    """Grow a random split tree over the time axis 1..d.
 
     A node [a, b] becomes a leaf when its length is <= ``slimit`` or its
     depth (root = 0) has reached ``hlimit``.  Otherwise a split point
@@ -71,12 +56,11 @@ def build_tstree(
     in preorder (a node, then its whole left subtree, then its right), so
     equal inputs and an equally seeded ``rng`` reproduce the tree exactly.
 
-    Unchecked: ``fit`` passes 1 <= ``t_start`` <= ``t_end``, ``hlimit`` >= 0
-    and ``slimit`` >= 1.
+    Unchecked: ``fit`` passes ``d`` >= 1, ``hlimit`` >= 0 and ``slimit`` >= 1.
     """
     segments: list[Segment] = []
     depths: list[int] = []
-    stack = [(t_start, t_end, 0)]
+    stack = [(1, d, 0)]
     while stack:
         start, end, depth = stack.pop()
         if end - start + 1 <= slimit or depth >= hlimit:

@@ -122,7 +122,7 @@ def test_criterion_2_structural_invariants():
         d = int(rng.integers(1, 65))
         hlimit = int(rng.integers(0, 9))
         slimit = int(rng.integers(1, 6))
-        tree = build_tstree(1, d, hlimit, slimit, rng)
+        tree = build_tstree(d, hlimit, slimit, rng)
 
         segs = leaves(tree)
         assert segs[0].start == 1 and segs[-1].end == d

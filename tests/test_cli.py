@@ -34,6 +34,15 @@ def _write_dataset(tmp_path, n=20, d=10, anomalies=5, seed=0, name="data.csv"):
     return path
 
 
+def _run_cli(*args, timeout=None):
+    """Run the CLI in a separate process on this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(dlde.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [sys.executable, "-m", "dlde.cli", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def _read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# config: ")
@@ -155,12 +164,7 @@ class TestDetect:
         x[3, 2] = 1.7e308
         path = tmp_path / "huge.csv"
         write_labeled_file(type(ds)(x, ds.labels), path)
-        env = dict(os.environ)
-        src = str(Path(dlde.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        cmd = [sys.executable, "-m", "dlde.cli", "detect", "--input", str(path),
-               "--output", str(tmp_path / "scores.csv")]
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        proc = _run_cli("detect", "--input", str(path), "--output", str(tmp_path / "scores.csv"))
         assert proc.returncode == EXIT_CONFIG
         (line,) = proc.stderr.splitlines()
         assert line.startswith("dlde: configuration error: ")
@@ -245,6 +249,18 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and source in err
         assert list(tmp_path.iterdir()) == []
+
+    # open() on a FIFO waits for a writer, so a regression would hang; the
+    # timeout of a separate process turns that into a failure
+    def test_fifo_without_writer_exits_io(self, tmp_path):
+        fifo, out = tmp_path / "in.fifo", tmp_path / "o.csv"
+        os.mkfifo(fifo)
+        proc = _run_cli("detect", "--input", str(fifo), "--subseq-len", "4",
+                        "--output", str(out), timeout=60)
+        assert proc.returncode == EXIT_IO
+        (line,) = proc.stderr.splitlines()
+        assert str(fifo) in line
+        assert list(tmp_path.iterdir()) == [fifo]
 
     # the temporary file's 0600 would survive the rename
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])

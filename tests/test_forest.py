@@ -34,9 +34,9 @@ class TestFit:
 
     def test_hlimit_defaults_to_log2_d(self):
         ds = random_dataset(np.random.default_rng(0), 8, 20)
-        assert fit(ds, m=1, seed=0).params.hlimit == 4  # floor(log2(20))
+        assert fit(ds, m=1, seed=0).hlimit == 4  # floor(log2(20))
         ds2 = random_dataset(np.random.default_rng(0), 8, 64)
-        assert fit(ds2, m=1, seed=0).params.hlimit == 6
+        assert fit(ds2, m=1, seed=0).hlimit == 6
 
     def test_every_leaf_has_h_tables_over_all_rows(self):
         ds = random_dataset(np.random.default_rng(1), 9, 16)
@@ -48,6 +48,20 @@ class TestFit:
                 assert tables.segment == segment and len(tables.fns) == 4
                 covered += range(16)[segment.columns]
             assert covered == list(range(16))
+
+    # the ranges Segment and HashFn do not check, on the model fit returns
+    @pytest.mark.parametrize("n", [5, 16, 200])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fitted_segments_widths_and_offsets_in_range(self, n, seed):
+        d = 24
+        forest = fit(random_dataset(np.random.default_rng(seed), n, d), m=3, h=5, slimit=1, seed=seed)
+        lo = 1.0 / math.log2(n)
+        for model in forest.trees:
+            for segment, tables in model.leaf_tables.items():
+                assert 1 <= segment.start <= segment.end <= d
+                for fn in tables.fns:
+                    assert lo <= fn.width <= 1.0 - lo
+                    assert 0.0 <= fn.offset <= fn.width
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
         # fit proves the key range from the dataset's peak and hashes

@@ -115,16 +115,6 @@ class TestHashValue:
         with pytest.raises(ValueError, match="outside the int64 range"):
             hash_keys(HashFn(0.5, 0.25), np.array([0.25, bad]))
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            HashFn(width=0.0, offset=0.0)
-        with pytest.raises(ValueError):
-            HashFn(width=1.0, offset=0.0)
-        with pytest.raises(ValueError):
-            HashFn(width=0.5, offset=-0.1)
-        with pytest.raises(ValueError):
-            HashFn(width=0.5, offset=0.6)
-
 
 def _identical_rows(n: int, d: int) -> LabeledDataset:
     return LabeledDataset(np.tile(np.linspace(0, 1, d), (n, 1)), np.zeros(n, int))

@@ -1,8 +1,11 @@
-"""Every module-level import of the package and the tests is used.
+"""Every module-level import of the package and the tests is used, and
+every name a package module exports is bound.
 
 No linter runs on this repository, so this catches what a deletion most
-often leaves behind: an import that nothing reads.
-``dlde/__init__.py`` is exempt, as it exists to bind names.
+often leaves behind: an import that nothing reads, or an ``__all__`` entry
+for a name that is gone.  ``dlde/__init__.py`` is exempt from the first
+check, as it exists to bind names.  The modules are parsed, not imported:
+importing ``dlde.__main__`` runs the CLI.
 """
 
 from __future__ import annotations
@@ -37,3 +40,28 @@ def test_module_level_imports_are_used():
         if p.name != "__init__.py" and (names := _unused_imports(p))
     }
     assert unused == {}
+
+
+def _unbound_exports(path: Path) -> list[str]:
+    """The names in the ``__all__`` of ``path`` that its module level does
+    not bind by an import, a definition or an assignment."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_exported_names_are_bound():
+    paths = sorted(ROOT.glob("src/dlde/*.py"))
+    unbound = {str(p.relative_to(ROOT)): names for p in paths if (names := _unbound_exports(p))}
+    assert unbound == {}

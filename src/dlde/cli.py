@@ -20,9 +20,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
+import secrets
 import sys
-import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
@@ -40,10 +42,11 @@ EXIT_IO = 5
 _DELIMITER_NAMES = {"comma": ",", "tab": "\t", "\\t": "\t"}
 
 
-def _resolve_delimiter(raw: str | None) -> str | None:
-    if raw is None:
-        return None
-    return _DELIMITER_NAMES.get(raw, raw)
+def _finite_float(raw: str) -> float:
+    """A float that is neither NaN nor infinite, which no parsed label is."""
+    if not math.isfinite(value := float(raw)):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+    return value
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,7 +87,7 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     """The repeated-run protocol flags of evaluate and sweep."""
     parser.add_argument(
         "--anomaly-class",
-        type=float,
+        type=_finite_float,
         required=True,
         help="label value marking anomalies",
     )
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_detect.add_argument(
         "--anomaly-class",
-        type=float,
+        type=_finite_float,
         default=None,
         help="label value marking anomalies (labeled mode; informational only "
         "for detect)",
@@ -157,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args: argparse.Namespace, extra: dict[str, Any]) -> dict[str, Any]:
-    echo: dict[str, Any] = {
+    return {
         "command": args.command,
         "input": args.input,
         "delimiter": args.delimiter,
@@ -168,45 +171,38 @@ def _config_echo(args: argparse.Namespace, extra: dict[str, Any]) -> dict[str, A
         "seed": args.seed,
         "normalize": args.normalize,
         "format": args.format,
+        **extra,
     }
-    echo.update(extra)
-    return echo
 
 
-def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _render(config: dict[str, Any], columns: list[str], rows: list[dict[str, Any]],
+def _render(config: dict[str, Any], columns: list[str], rows: Iterable[tuple],
             fmt: str) -> str:
+    """The config echo, then the rows, each holding its cells in column order."""
     if fmt == "json":
-        return json.dumps({"config": config, "rows": rows}, indent=2) + "\n"
+        records = [dict(zip(columns, row)) for row in rows]
+        return json.dumps({"config": config, "rows": records}, indent=2) + "\n"
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")  # str() of a float is its repr()
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in columns])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file created exclusively beside the target
+    and renamed over it, so the file gets the mode the umask gives."""
     target = Path(path)
-    tmp = None
+    tmp = target.parent / f"{target.name}.{secrets.token_hex(8)}.tmp"
+    created = False
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=str(target.parent) or ".", prefix=target.name + ".", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.umask(umask := os.umask(0o077))  # read the umask, which only setting it returns
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives, not mkstemp's 0600
+        with open(tmp, "x", encoding="utf-8") as fh:
+            created = True  # a FileExistsError must not delete another writer's file
             fh.write(text)
         os.replace(tmp, target)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        if created:
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.errno is not None:
             # name the user's path, not the temporary file beside it
             raise OSError(exc.errno, exc.strerror, path) from exc
@@ -216,7 +212,7 @@ def _write_atomic(path: str, text: str) -> None:
 def _load_dataset(args: argparse.Namespace, subseq_len: int | None):
     """Read the input of any subcommand: windows of a raw series when
     ``subseq_len`` is given, else a label-first dataset."""
-    delimiter = _resolve_delimiter(args.delimiter)
+    delimiter = _DELIMITER_NAMES.get(args.delimiter, args.delimiter)  # None stays None
     if subseq_len is not None:
         series = parse_raw_series(args.input, delimiter=delimiter)
         dataset = window_series(series, subseq_len)
@@ -250,14 +246,7 @@ def _run_detect(args: argparse.Namespace) -> None:
             "d": dataset.d,
         },
     )
-    rows = [
-        {
-            "index": k,
-            "score": float(result.scores[k]),
-            "anomaly_score": float(result.anomaly_scores[k]),
-        }
-        for k in range(dataset.n)
-    ]
+    rows = zip(range(dataset.n), result.scores.tolist(), result.anomaly_scores.tolist())
     _write_atomic(args.output, _render(config, ["index", "score", "anomaly_score"], rows, args.format))
 
 
@@ -288,7 +277,8 @@ def _run_evaluate(args: argparse.Namespace) -> None:
         },
     )
     columns = ["run", "seed", "auc"] + (["seconds"] if args.timing else [])
-    rows = report.rows(include_seconds=args.timing)
+    runs = zip(range(args.repeats), report.seeds, report.aucs, report.seconds)
+    rows = [run if args.timing else run[:3] for run in runs]
     _write_atomic(args.output, _render(config, columns, rows, args.format))
     print(
         f"evaluate: {args.repeats} runs, mean AUC {report.mean_auc:.4f} "
@@ -316,20 +306,9 @@ def _run_sweep(args: argparse.Namespace) -> None:
             "values": values,
         },
     )
-    rows = [
-        {
-            "param": args.param,
-            "value": v,
-            "mean_auc": r.mean_auc,
-            "std_auc": r.std_auc,
-            "repeats": args.repeats,
-        }
-        for v, r in zip(values, reports)
-    ]
-    _write_atomic(
-        args.output,
-        _render(config, ["param", "value", "mean_auc", "std_auc", "repeats"], rows, args.format),
-    )
+    columns = ["param", "value", "mean_auc", "std_auc", "repeats"]
+    rows = [(args.param, v, r.mean_auc, r.std_auc, args.repeats) for v, r in zip(values, reports)]
+    _write_atomic(args.output, _render(config, columns, rows, args.format))
 
 
 def main(argv: list[str] | None = None) -> int:

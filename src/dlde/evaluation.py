@@ -95,16 +95,6 @@ class ExperimentReport:
     def std_auc(self) -> float:
         return float(np.std(self.aucs))
 
-    def rows(self, *, include_seconds: bool = False) -> list[dict[str, Any]]:
-        """One record per run, in run order, for CSV/JSON emission."""
-        out = []
-        for i, (run_seed, run_auc) in enumerate(zip(self.seeds, self.aucs)):
-            row: dict[str, Any] = {"run": i, "seed": run_seed, "auc": run_auc}
-            if include_seconds:
-                row["seconds"] = self.seconds[i]
-            out.append(row)
-        return out
-
 
 def run_experiment(config: ExperimentConfig, dataset: LabeledDataset) -> ExperimentReport:
     """Fit, score and compute AUC ``config.repeats`` times on ``dataset``.

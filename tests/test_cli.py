@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import hashlib
 import json
 import os
 import shutil
@@ -275,6 +276,35 @@ class TestDetect:
         finally:
             os.umask(previous)
 
+    # setting the umask to read it changes it for every thread of the process
+    def test_artifact_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        data = _write_dataset(tmp_path)
+        out = tmp_path / "scores.csv"
+        set_umask = os.umask
+        previous = set_umask(0o027)
+        try:
+            def refuse(mask):
+                raise AssertionError(f"os.umask({mask:#o}) called")
+
+            monkeypatch.setattr(os, "umask", refuse)
+            assert main(["detect", "--input", str(data), "--output", str(out)]) == EXIT_OK
+            assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        finally:
+            set_umask(previous)
+
+    # the temporary name is created exclusively: a file already there is
+    # another writer's, so it is neither written nor deleted
+    def test_taken_temporary_name_exits_io(self, tmp_path, monkeypatch, capsys):
+        data = _write_dataset(tmp_path)
+        out = tmp_path / "scores.csv"
+        taken = tmp_path / "scores.csv.taken.tmp"
+        taken.write_text("another writer's\n", encoding="utf-8")
+        monkeypatch.setattr("dlde.cli.secrets.token_hex", lambda nbytes: "taken")
+        assert main(["detect", "--input", str(data), "--output", str(out)]) == EXIT_IO
+        assert "File exists" in (err := capsys.readouterr().err) and f"'{out}'" in err
+        assert taken.read_text(encoding="utf-8") == "another writer's\n"
+        assert not out.exists()
+
     def test_raw_input_of_only_separators_exits_input(self, tmp_path, capsys):
         path = tmp_path / "f.txt"
         path.write_text(",\n,,\n", encoding="utf-8")
@@ -456,6 +486,23 @@ def test_normalize_rejects_overflowing_rows(tmp_path, capsys, command, values):
     assert not out.exists()
 
 
+# a parsed label is never NaN or infinite, so such a class would match no row
+@pytest.mark.parametrize("command", ["detect", "evaluate", "sweep"])
+@pytest.mark.parametrize("flag", [["--anomaly-class", "nan"], ["--anomaly-class", "inf"],
+                                  ["--anomaly-class=-inf"]], ids=["nan", "inf", "-inf"])
+def test_non_finite_anomaly_class_exits_config(tmp_path, capsys, command, flag):
+    data = _write_dataset(tmp_path)
+    args = [command, "--input", str(data), "--output", str(tmp_path / "out.json"),
+            "--format", "json", *flag]
+    if command == "sweep":
+        args += ["--param", "m", "--values", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --anomaly-class: must be a finite number" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 # the CLI reads and normalizes the input; the protocol scores what it is given
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_normalize_reaches_the_protocol(tmp_path, command):
@@ -479,6 +526,61 @@ def test_normalize_reaches_the_protocol(tmp_path, command):
     _, raw_rows = _read_csv(raw_out)
     assert [float(r[column]) for r in norm_rows] == expected
     assert [float(r[column]) for r in raw_rows] != expected
+
+
+def _golden_inputs(tmp_path):
+    """A labeled file and a raw series from uniform draws only, so their
+    text does not depend on how numpy draws from other distributions."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-2.0, 2.0, size=(16, 12))
+    labels = (np.arange(16) % 5 == 0).astype(int)
+    x[labels == 1] += 3.0
+    write_labeled_file(LabeledDataset(x, labels), tmp_path / "data.csv")
+    series = np.round(rng.uniform(0.0, 100.0, size=120), 1)
+    (tmp_path / "series.txt").write_text("".join(f"{float(v)!r}\n" for v in series), encoding="utf-8")
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_PROTOCOL = ["--input", "data.csv", "--anomaly-class", "1", "--hashes", "2", "--seed", "4"]
+
+
+# sha256 of each artifact, recorded when rows were dicts whose floats were
+# rendered with repr and the file was made by mkstemp; the config echo
+# names the input, so the inputs are given relative to the working directory
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (["detect", "--input", "data.csv", "--trees", "4", "--hashes", "3", "--seed", "3"],
+         {"csv": "0f997d5366aec8fe5c2f212a6e5dfd3aeb348c9d69a5f0b00ba51fe63e295189",
+          "json": "0d1c5c50739e72e7f7c30216d7907901230a52cebd39c0fd283d08db36614206"}),
+        (["detect", "--input", "series.txt", "--subseq-len", "12", "--trees", "4", "--seed", "1"],
+         {"csv": "54c9c042df70392262f4f50b0120ebe435e402474071ff7dea17a006bccbfdd3",
+          "json": "baa30c95b076345554f7d929bf9ff3e174b6a7f7064983683ca6a6fd103094f6"}),
+        (["evaluate", *_PROTOCOL, "--repeats", "3", "--trees", "3"],
+         {"csv": "535d8e3b7d86881744ea9b0b82b7f6bb466e51ed79501a5e1dc110b183e1a686",
+          "json": "7361392dd918ca7334f00d7d82e69f1d2591f9f19ef272fb3576f2de3b6ad5a0"}),
+        (["sweep", *_PROTOCOL, "--repeats", "2", "--param", "m", "--values", "1,3"],
+         {"csv": "19f42217f5778621357a55fb546fef582cb6d44556ba05ac75dd10a93e331c8f",
+          "json": "65827a840338cc7214fc747cf1daa04df00182dbcb5c4a043fb5bde022860649"}),
+    ],
+    ids=["detect-labeled", "detect-raw", "evaluate", "sweep-m"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_golden_artifacts(tmp_path, monkeypatch, argv, digests, fmt):
+    _golden_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / f"artifact.{fmt}"
+    assert main([*argv, "--format", fmt, "--output", out.name]) == EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    _strict_json(text if fmt == "json" else text.splitlines()[0][len("# config: "):])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
 
 
 class TestParser:

@@ -107,15 +107,6 @@ class TestRunExperiment:
         assert all(s >= 0.0 for s in report.seconds)
         assert report.config["n"] == 18 and report.config["d"] == 9
 
-    def test_rows_schema(self):
-        ds = random_dataset(np.random.default_rng(4), 12, 8, anomalies=3)
-        report = run_experiment(_config(repeats=2), dataset=ds)
-        rows = report.rows()
-        assert [set(r) for r in rows] == [{"run", "seed", "auc"}] * 2
-        assert [r["run"] for r in rows] == [0, 1]
-        timed = report.rows(include_seconds=True)
-        assert all("seconds" in r for r in timed)
-
     def test_zero_repeats_rejected(self):
         ds = random_dataset(np.random.default_rng(6), 12, 8, anomalies=2)
         with pytest.raises(ConfigurationError, match="repeats"):

@@ -1,8 +1,11 @@
 """Command-line interface: detect, evaluate and sweep.
 
-Every artifact file starts with the fully resolved configuration
-(flags, defaults and seed), so any output can be regenerated from its
-own header.  Files are written atomically (temp file + rename) and the
+Every artifact file starts with the fully resolved configuration, so
+any output can be regenerated from its own header.  The header is the
+parsed command line: every flag but ``--output``, defaults and seed
+included, in declaration order, then the values the run computed.  So a
+new flag is echoed without an edit, and every flag value must be a JSON
+value.  Files are written atomically (temp file + rename) and the
 process exits 0 only when the artifact was completely written.
 
 Exit codes:
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -59,9 +63,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "(default: auto-detect between comma and tab)",
     )
     parser.add_argument("--output", required=True, help="artifact file to write")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="artifact format"
-    )
     parser.add_argument("--trees", type=int, default=10, metavar="M", help="ensemble size")
     parser.add_argument(
         "--hashes", type=int, default=10, metavar="H", help="hash functions per leaf"
@@ -80,6 +81,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--normalize",
         action="store_true",
         help="z-normalize each subsequence before fitting",
+    )
+    parser.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="artifact format"
     )
 
 
@@ -112,19 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_flags(p_detect)
     p_detect.add_argument(
+        "--anomaly-class",
+        type=_finite_float,
+        default=None,
+        help="label value marking anomalies (labeled mode; informational only "
+        "for detect)",
+    )
+    p_detect.add_argument(
         "--subseq-len",
         type=int,
         default=None,
         metavar="S",
         help="treat the input as one raw series and cut it into windows of "
         "length S (default: input is a label-first dataset)",
-    )
-    p_detect.add_argument(
-        "--anomaly-class",
-        type=_finite_float,
-        default=None,
-        help="label value marking anomalies (labeled mode; informational only "
-        "for detect)",
     )
     p_detect.set_defaults(handler=_run_detect)
 
@@ -160,19 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args: argparse.Namespace, extra: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "command": args.command,
-        "input": args.input,
-        "delimiter": args.delimiter,
-        "trees": args.trees,
-        "hashes": args.hashes,
-        "slimit": args.slimit,
-        "hlimit": args.hlimit,
-        "seed": args.seed,
-        "normalize": args.normalize,
-        "format": args.format,
-        **extra,
-    }
+    """Every parsed flag but ``--output``, in declaration order, then the
+    values the run computed; an extra named like a flag takes its place."""
+    return {**{k: v for k, v in vars(args).items() if k not in ("output", "handler")}, **extra}
 
 
 def _render(config: dict[str, Any], columns: list[str], rows: Iterable[tuple],
@@ -190,12 +184,20 @@ def _render(config: dict[str, Any], columns: list[str], rows: Iterable[tuple],
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write through a temporary file created exclusively beside the target
-    and renamed over it, so the file gets the mode the umask gives."""
-    target = Path(path)
+    """Write ``path`` as ``open(path, "w")`` would, through a symlink too, but
+    via a temporary file created exclusively beside the target and renamed
+    over it, so the file gets the mode the umask gives.  A path that names a
+    directory, such as one ending in a separator, and an existing output
+    that is not a regular file (a FIFO, a device, a socket) are refused
+    before anything is written."""
+    target = Path(os.path.realpath(path))  # the file a symlink names, as open() writes it
     tmp = target.parent / f"{target.name}.{secrets.token_hex(8)}.tmp"
     created = False
     try:
+        if os.path.basename(path) in ("", ".", "..") or target.is_dir():  # names a directory
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if target.exists() and not target.is_file():
+            raise OSError(f"{path}: the output exists and is not a regular file")
         with open(tmp, "x", encoding="utf-8") as fh:
             created = True  # a FileExistsError must not delete another writer's file
             fh.write(text)
@@ -225,57 +227,29 @@ def _load_dataset(args: argparse.Namespace, subseq_len: int | None):
     return dataset
 
 
+def _model_params(args: argparse.Namespace) -> dict[str, Any]:
+    """The model flags as the keywords of :func:`fit` and ExperimentConfig."""
+    return {"m": args.trees, "h": args.hashes, "slimit": args.slimit, "hlimit": args.hlimit}
+
+
 def _run_detect(args: argparse.Namespace) -> None:
     dataset = _load_dataset(args, args.subseq_len)
-    forest = fit(
-        dataset,
-        m=args.trees,
-        h=args.hashes,
-        slimit=args.slimit,
-        hlimit=args.hlimit,
-        seed=args.seed,
-    )
+    forest = fit(dataset, **_model_params(args), seed=args.seed)
     result = score(forest, dataset)
-    config = _config_echo(
-        args,
-        {
-            "anomaly_class": args.anomaly_class,
-            "subseq_len": args.subseq_len,
-            "hlimit_resolved": forest.hlimit,
-            "n": dataset.n,
-            "d": dataset.d,
-        },
-    )
+    config = _config_echo(args, {"hlimit_resolved": forest.hlimit, "n": dataset.n, "d": dataset.d})
     rows = zip(range(dataset.n), result.scores.tolist(), result.anomaly_scores.tolist())
     _write_atomic(args.output, _render(config, ["index", "score", "anomaly_score"], rows, args.format))
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        m=args.trees,
-        h=args.hashes,
-        slimit=args.slimit,
-        hlimit=args.hlimit,
-        repeats=args.repeats,
-        base_seed=args.seed,
-    )
+    return ExperimentConfig(**_model_params(args), repeats=args.repeats, base_seed=args.seed)
 
 
 def _run_evaluate(args: argparse.Namespace) -> None:
     dataset = _load_dataset(args, None)
     report = run_experiment(_experiment_config(args), dataset)
-    config = _config_echo(
-        args,
-        {
-            "anomaly_class": args.anomaly_class,
-            "repeats": args.repeats,
-            "timing": args.timing,
-            "n": dataset.n,
-            "d": dataset.d,
-            "mean_auc": report.mean_auc,
-            "std_auc": report.std_auc,
-        },
-    )
+    config = _config_echo(args, {"n": dataset.n, "d": dataset.d,
+                                 "mean_auc": report.mean_auc, "std_auc": report.std_auc})
     columns = ["run", "seed", "auc"] + (["seconds"] if args.timing else [])
     runs = zip(range(args.repeats), report.seeds, report.aucs, report.seconds)
     rows = [run if args.timing else run[:3] for run in runs]
@@ -297,15 +271,7 @@ def _parse_values(raw: str) -> list[int]:
 def _run_sweep(args: argparse.Namespace) -> None:
     values = _parse_values(args.values)
     reports = sweep(_experiment_config(args), args.param, values, _load_dataset(args, None))
-    config = _config_echo(
-        args,
-        {
-            "anomaly_class": args.anomaly_class,
-            "repeats": args.repeats,
-            "param": args.param,
-            "values": values,
-        },
-    )
+    config = _config_echo(args, {"values": values})
     columns = ["param", "value", "mean_auc", "std_auc", "repeats"]
     rows = [(args.param, v, r.mean_auc, r.std_auc, args.repeats) for v, r in zip(values, reports)]
     _write_atomic(args.output, _render(config, columns, rows, args.format))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 
@@ -85,7 +84,6 @@ class ExperimentReport:
     aucs: tuple[float, ...]
     seeds: tuple[int, ...]
     seconds: tuple[float, ...]
-    config: dict[str, Any]
 
     @property
     def mean_auc(self) -> float:
@@ -149,10 +147,8 @@ def _runs(
             seconds[m].append(time.perf_counter() - started)
         seeds.append(run_seed)
 
-    echo = {**vars(config), "n": dataset.n, "d": dataset.d}
     return [
-        ExperimentReport(aucs=tuple(aucs[m]), seeds=tuple(seeds),
-                         seconds=tuple(seconds[m]), config={**echo, "m": m})
+        ExperimentReport(aucs=tuple(aucs[m]), seeds=tuple(seeds), seconds=tuple(seconds[m]))
         for m in ms
     ]
 

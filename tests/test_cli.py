@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import gzip
 import hashlib
+import inspect
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -23,7 +26,7 @@ from dlde import (
     sweep,
     znormalize,
 )
-from dlde.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_METRIC, EXIT_OK, main
+from dlde.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_METRIC, EXIT_OK, build_parser, main
 
 from conftest import heartbeat_series, random_dataset, write_labeled_file
 
@@ -305,6 +308,41 @@ class TestDetect:
         assert taken.read_text(encoding="utf-8") == "another writer's\n"
         assert not out.exists()
 
+    # Path drops a trailing separator or ".", so newname/ used to be written as a file newname
+    @pytest.mark.parametrize("suffix", [os.sep, os.sep + "."])
+    def test_output_ending_in_a_separator_exits_io(self, tmp_path, capsys, suffix):
+        data = _write_dataset(tmp_path)
+        out = f"{tmp_path / 'newname'}{suffix}"
+        assert main(["detect", "--input", str(data), "--output", out]) == EXIT_IO
+        assert f"'{out}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
+
+    # open() on a FIFO would wait for a reader, so a regression could hang;
+    # the rename used to put a regular file in the FIFO's place
+    def test_fifo_output_exits_io(self, tmp_path):
+        data = _write_dataset(tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        proc = _run_cli("detect", "--input", str(data), "--output", str(fifo), timeout=60)
+        assert proc.returncode == EXIT_IO
+        (line,) = proc.stderr.splitlines()
+        assert str(fifo) in line
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == sorted([data, fifo])
+
+    # the rename used to replace the link with a regular file
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_symlinked_output_is_written_through(self, tmp_path, dangling):
+        data = _write_dataset(tmp_path)
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        if not dangling:
+            real.write_text("old\n", encoding="utf-8")
+        link.symlink_to(real.name)
+        assert main(["detect", "--input", str(data), "--output", str(link)]) == EXIT_OK
+        assert os.readlink(link) == real.name
+        assert real.read_text(encoding="utf-8").startswith("# config: ")
+        assert sorted(tmp_path.iterdir()) == sorted([data, link, real])
+
     def test_raw_input_of_only_separators_exits_input(self, tmp_path, capsys):
         path = tmp_path / "f.txt"
         path.write_text(",\n,,\n", encoding="utf-8")
@@ -536,6 +574,7 @@ def _golden_inputs(tmp_path):
     labels = (np.arange(16) % 5 == 0).astype(int)
     x[labels == 1] += 3.0
     write_labeled_file(LabeledDataset(x, labels), tmp_path / "data.csv")
+    write_labeled_file(LabeledDataset(x, labels), tmp_path / "data.tsv", delimiter="\t")
     series = np.round(rng.uniform(0.0, 100.0, size=120), 1)
     (tmp_path / "series.txt").write_text("".join(f"{float(v)!r}\n" for v in series), encoding="utf-8")
 
@@ -552,8 +591,9 @@ _PROTOCOL = ["--input", "data.csv", "--anomaly-class", "1", "--hashes", "2", "--
 
 
 # sha256 of each artifact, recorded when rows were dicts whose floats were
-# rendered with repr and the file was made by mkstemp; the config echo
-# names the input, so the inputs are given relative to the working directory
+# rendered with repr and the file was made by mkstemp (sweep-h and detect-tab:
+# when the header listed its keys by hand); the config echo names the input,
+# so the inputs are given relative to the working directory
 @pytest.mark.parametrize(
     "argv, digests",
     [
@@ -569,8 +609,15 @@ _PROTOCOL = ["--input", "data.csv", "--anomaly-class", "1", "--hashes", "2", "--
         (["sweep", *_PROTOCOL, "--repeats", "2", "--param", "m", "--values", "1,3"],
          {"csv": "19f42217f5778621357a55fb546fef582cb6d44556ba05ac75dd10a93e331c8f",
           "json": "65827a840338cc7214fc747cf1daa04df00182dbcb5c4a043fb5bde022860649"}),
+        (["sweep", *_PROTOCOL, "--repeats", "2", "--param", "h", "--values", "3,1"],
+         {"csv": "2f63d13375b142f6ef18cfe252363a785694baa0629f5a626e944e932f37d466",
+          "json": "6723774dc3fe5f6c1af8cff6deca4599c80d2ec78b132f9c09fe7daed3155f00"}),
+        (["detect", "--input", "data.tsv", "--delimiter", "tab", "--anomaly-class", "1",
+          "--normalize", "--hlimit", "2", "--trees", "3"],
+         {"csv": "0df09790a904adef82a827735855754f58779cc143e212d1235a3c462a2508bc",
+          "json": "ade6976d037f580fe3c5c571e72091b854d286e869ee33178d5ae748f0d61f3e"}),
     ],
-    ids=["detect-labeled", "detect-raw", "evaluate", "sweep-m"],
+    ids=["detect-labeled", "detect-raw", "evaluate", "sweep-m", "sweep-h", "detect-tab"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_golden_artifacts(tmp_path, monkeypatch, argv, digests, fmt):
@@ -598,3 +645,41 @@ class TestParser:
             ["detect", "--input", str(path), "--delimiter", "tab", "--output", str(out)]
         )
         assert code == EXIT_OK
+
+    def test_header_echoes_every_flag(self, tmp_path):
+        data = _write_dataset(tmp_path)
+        protocol = ["--anomaly-class", "1", "--repeats", "2"]
+        extra = {"detect": [], "evaluate": protocol,
+                 "sweep": [*protocol, "--param", "h", "--values", "1"]}
+        for command, sub in _subparsers().items():
+            out = tmp_path / f"{command}.csv"
+            argv = [command, "--input", str(data), "--output", str(out), "--trees", "2"]
+            assert main(argv + extra[command]) == EXIT_OK
+            config, _ = _read_csv(out)
+            dests = {a.dest for a in sub._actions} - {"help", "output"}
+            assert config["command"] == command and dests <= set(config) and "output" not in config
+
+    def test_defaults_agree(self):
+        fit_defaults = inspect.signature(dlde.fit).parameters
+        protocol = ExperimentConfig()
+        for command, sub in _subparsers().items():
+            for flag, param, field in [("trees", "m", "m"), ("hashes", "h", "h"),
+                                       ("slimit", "slimit", "slimit"), ("hlimit", "hlimit", "hlimit"),
+                                       ("seed", "seed", "base_seed")]:
+                assert sub.get_default(flag) == fit_defaults[param].default == getattr(protocol, field)
+            if command != "detect":
+                assert sub.get_default("repeats") == protocol.repeats
+
+    def test_readme_common_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        line = re.search(r"Flags of every subcommand:(.*?)\.\s", readme, re.S).group(1)
+        common = set.intersection(*(
+            {s for a in sub._actions for s in a.option_strings} for sub in _subparsers().values()
+        ))
+        named = set(re.findall(r"--[a-z-]+", line))
+        assert "--input" in named and named <= common
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices

@@ -24,8 +24,8 @@ import numpy as np
 from .dataset import LabeledDataset
 from .density import row_densities
 from .errors import ConfigurationError
-from .hashing import LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
-from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, validate_seed
+from .hashing import HashFn, LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
+from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, spawn_uniforms, validate_seed
 from .tstree import Segment, TSTree, build_tstree
 
 __all__ = [
@@ -114,16 +114,21 @@ def fit(
     check_dataset(dataset.n, dataset.peak)
     resolved_hlimit = hlimit if hlimit is not None else int(math.floor(math.log2(dataset.d)))
 
-    trees = []
-    for i in range(m):
-        tree = build_tstree(dataset.d, resolved_hlimit, slimit, spawn_rng(seed, TREE_STREAM, i))
-        tables: dict[Segment, LeafTables] = {}
-        for ordinal, segment in enumerate(tree.segments):
-            fns = sample_hash_fn(dataset.n, spawn_rng(seed, HASH_STREAM, i, ordinal), h)
-            tables[segment] = build_leaf_tables(dataset, segment, fns)
-        trees.append(TreeModel(tree=tree, leaf_tables=tables))
+    trees = [build_tstree(dataset.d, resolved_hlimit, slimit, spawn_rng(seed, TREE_STREAM, i))
+             for i in range(m)]
+    # one lane per leaf, keyed (HASH_STREAM, tree, ordinal), in tree then leaf order
+    ordinals = np.concatenate([np.arange(len(tree.segments)) for tree in trees])
+    tree_ids = np.repeat(np.arange(m), [len(tree.segments) for tree in trees])
+    keys = np.column_stack((np.full_like(ordinals, HASH_STREAM), tree_ids, ordinals))
+    widths, offsets = sample_hash_fn(dataset.n, spawn_uniforms(seed, keys, 2 * h))
+    fns = tuple(map(HashFn, widths.ravel().tolist(), offsets.ravel().tolist()))
+    leaf_fns = (fns[k:k + h] for k in range(0, len(fns), h))
+    models = tuple(
+        TreeModel(tree, {s: build_leaf_tables(dataset, s, next(leaf_fns)) for s in tree.segments})
+        for tree in trees
+    )
 
-    return TSForest(trees=tuple(trees), hlimit=resolved_hlimit, n=dataset.n, d=dataset.d,
+    return TSForest(trees=models, hlimit=resolved_hlimit, n=dataset.n, d=dataset.d,
                     digest=_digest(dataset))
 
 

@@ -73,20 +73,21 @@ def check_dataset(n: int, peak: float) -> None:
         )
 
 
-def sample_hash_fn(n: int, rng: np.random.Generator, h: int) -> tuple[HashFn, ...]:
-    """Draw a leaf's ``h`` bucketing functions for a dataset of ``n`` subsequences.
+def sample_hash_fn(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Widths and offsets, each (..., h), of the bucketing functions that a
+    (..., 2h) block ``u`` of uniforms on [0, 1) gives for a dataset of ``n``
+    subsequences.
 
     Each width is uniform on [1/log2(n), 1 - 1/log2(n)] and each offset
-    uniform on [0, width].  One block of ``2 * h`` uniforms, taken with
-    ``rng.uniform``'s arithmetic, gives bit for bit the functions of ``h``
+    uniform on [0, width], taken with ``rng.uniform``'s arithmetic: a row
+    of ``rng.random(2 * h)`` gives bit for bit the functions of ``h``
     sequential (width, offset) ``rng.uniform`` draws.  Unchecked: ``n``
     must have passed :func:`check_dataset`.
     """
     lo = _width_floor(n)
-    u = rng.random(2 * h)
-    widths = lo + ((1.0 - lo) - lo) * u[0::2]
-    offsets = 0.0 + widths * u[1::2]
-    return tuple(map(HashFn, widths.tolist(), offsets.tolist()))
+    widths = lo + ((1.0 - lo) - lo) * u[..., 0::2]
+    offsets = 0.0 + widths * u[..., 1::2]
+    return widths, offsets
 
 
 def bucket_keys(values: np.ndarray, offset, width) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dlde import LabeledDataset
-from dlde.hashing import HashFn, bucket_keys
+from dlde.hashing import HashFn, bucket_keys, sample_hash_fn
 
 # a few dozen examples per property; fits vary too much in time for a deadline
 settings.register_profile("dlde", max_examples=40, deadline=None)
@@ -40,6 +40,13 @@ def write_labeled_file(
         for label, row in zip(dataset.labels, dataset.subsequences):
             fields = [str(int(label))] + [repr(float(v)) for v in row]
             fh.write(delimiter.join(fields) + "\n")
+
+
+def draw_fns(n: int, rng: np.random.Generator, h: int) -> tuple[HashFn, ...]:
+    """``h`` bucketing functions for ``n`` subsequences, from one block of
+    ``2 * h`` uniforms of ``rng``."""
+    widths, offsets = sample_hash_fn(n, rng.random(2 * h))
+    return tuple(map(HashFn, widths.tolist(), offsets.tolist()))
 
 
 def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:

@@ -6,6 +6,8 @@ are obtained by scanning all rows, and no key -> count tables are ever
 constructed.  Only tree structures and sampled hash parameters are taken
 from the objects under test, so both sides of every comparison consume
 the same randomness while computing the answer through disjoint code.
+:func:`leaf_hash_fns` draws a leaf's hash parameters itself, from that
+leaf's own generator, to check the ones ``fit`` draws for all leaves at once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 
 from dlde.forest import TSForest
+from dlde.seeding import HASH_STREAM, spawn_rng
 from dlde.tstree import Segment, TSTree, leaves
 
 
@@ -26,6 +29,19 @@ def is_full_binary(depths: tuple[int, ...]) -> bool:
             depth -= 1
         stack.append(depth)
     return stack == [0]
+
+
+def leaf_hash_fns(seed: int, tree: int, ordinal: int, n: int, h: int) -> list[tuple[float, float]]:
+    """(width, offset) of the ``h`` functions of leaf ``ordinal`` of tree
+    ``tree``: h sequential pairs of ``uniform`` draws from the leaf's own
+    generator, the width on [1/log2(n), 1 - 1/log2(n)], the offset on [0, width]."""
+    rng = spawn_rng(seed, HASH_STREAM, tree, ordinal)
+    lo = 1.0 / math.log2(n)
+    fns = []
+    for _ in range(h):
+        width = rng.uniform(lo, 1.0 - lo)
+        fns.append((width, rng.uniform(0.0, width)))
+    return fns
 
 
 def hash_value(fn, value: float) -> int:

@@ -616,8 +616,18 @@ _PROTOCOL = ["--input", "data.csv", "--anomaly-class", "1", "--hashes", "2", "--
           "--normalize", "--hlimit", "2", "--trees", "3"],
          {"csv": "0df09790a904adef82a827735855754f58779cc143e212d1235a3c462a2508bc",
           "json": "ade6976d037f580fe3c5c571e72091b854d286e869ee33178d5ae748f0d61f3e"}),
+        # seeds of three and two uint32 words: 2**64 + 5 and 2**32
+        (["detect", "--input", "data.csv", "--trees", "4", "--hashes", "37",
+          "--seed", "18446744073709551621"],
+         {"csv": "0b530727789770933a795deffc4d4ee229c754268b983a89872d6ff4f06df4e1",
+          "json": "cd0fcf212311b00e089e55619ec66d66d644a4fb76769d065ea9cbe48251f30a"}),
+        (["evaluate", "--input", "data.csv", "--anomaly-class", "1", "--hashes", "2",
+          "--seed", "4294967296", "--repeats", "2"],
+         {"csv": "38a611e7ed754cf2eb6f1851add2e506c6c87faa88cb80deae53a6a566241b6a",
+          "json": "33b3dd2e3a4a2456f5d2aa69a3a2f83089694ed9d307006d56142af7b586244f"}),
     ],
-    ids=["detect-labeled", "detect-raw", "evaluate", "sweep-m", "sweep-h", "detect-tab"],
+    ids=["detect-labeled", "detect-raw", "evaluate", "sweep-m", "sweep-h", "detect-tab",
+         "detect-multiword-seed", "evaluate-multiword-seed"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_golden_artifacts(tmp_path, monkeypatch, argv, digests, fmt):

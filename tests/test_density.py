@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import dlde
 from dlde import LabeledDataset, fit, score
 from dlde.density import leaf_point_densities, row_densities
-from dlde.hashing import HashFn, LeafTables, build_leaf_tables, sample_hash_fn
+from dlde.hashing import HashFn, LeafTables, build_leaf_tables
 from dlde.tstree import Segment, TSTree, build_tstree, leaves
 
-from conftest import hash_keys, matrices
+from conftest import draw_fns, hash_keys, matrices
 from reference import hash_value, tree_point_densities
 
 hash_fns = st.builds(lambda w, f: HashFn(w, w * f), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
@@ -267,7 +267,7 @@ def _signed_zeros():
 def _adc_ties():
     # integer counts around 2048: each integer its own key, repeated often
     rng = np.random.default_rng(2)
-    return np.round(2048.0 + 40.0 * rng.normal(size=(16, 10))), sample_hash_fn(16, rng, 4)
+    return np.round(2048.0 + 40.0 * rng.normal(size=(16, 10))), draw_fns(16, rng, 4)
 
 
 SORTED_CELL_CASES = {
@@ -427,7 +427,7 @@ class TestOracleEquivalence:
     def _ties(h):
         rng = np.random.default_rng(400)
         x = np.round(3 * rng.normal(size=(24, 6)), 1)  # ties among many cells
-        return x, sample_hash_fn(x.shape[0], rng, h)
+        return x, draw_fns(x.shape[0], rng, h)
 
     # Counts and their sums are kept in the narrowest integer type holding
     # -h*n to h*n.  Equal values put every point in one cell whose sums reach
@@ -437,7 +437,7 @@ class TestOracleEquivalence:
     )
     def test_count_type_edges_exact(self, n, h):
         x = np.full((n, 2), 0.25)
-        fns = sample_hash_fn(n, np.random.default_rng(n), h)
+        fns = draw_fns(n, np.random.default_rng(n), h)
         got = leaf_point_densities(x, LeafTables(Segment(1, 2), fns))
         np.testing.assert_array_equal(got, float(h * n))
 

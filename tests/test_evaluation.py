@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,12 @@ class TestRunExperiment:
         ds = random_dataset(np.random.default_rng(6), 12, 8, anomalies=2)
         with pytest.raises(ConfigurationError, match="repeats"):
             run_experiment(_config(repeats=0), dataset=ds)
+
+    @pytest.mark.parametrize("base_seed", [1.5, np.float64(9.0)])
+    def test_base_seed_that_is_not_an_integer_rejected(self, base_seed):
+        ds = random_dataset(np.random.default_rng(3), 12, 8, anomalies=3)
+        with pytest.raises(ConfigurationError, match=re.escape(f"got {base_seed!r}")):
+            run_experiment(_config(base_seed=base_seed), dataset=ds)
 
     def test_single_class_labels_rejected(self):
         ds = random_dataset(np.random.default_rng(7), 12, 8, anomalies=0)

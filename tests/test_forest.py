@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dlde.density
@@ -18,7 +19,7 @@ from dlde.hashing import HashFn, bucket_keys
 from dlde.tstree import Segment, leaves
 
 from conftest import hash_keys, matrices, random_dataset, tree_model_state
-from reference import hash_value, tree_point_densities
+from reference import hash_value, leaf_hash_fns, tree_point_densities
 
 
 def _constant_dataset(n: int, d: int, value: float = 0.3) -> LabeledDataset:
@@ -181,6 +182,35 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(3), 8, 8)
         with pytest.raises(ConfigurationError):
             fit(ds, **kwargs)
+
+    # operator.index decides; truncating would let 1.5 score exactly as 1
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.7), 2.0, "3", None])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        ds = random_dataset(np.random.default_rng(3), 8, 8)
+        with pytest.raises(ConfigurationError, match=re.escape(f"got {seed!r}")):
+            fit(ds, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        ds = random_dataset(np.random.default_rng(3), 8, 8)
+        a, b = fit(ds, m=2, h=2, seed=np.uint64(5)), fit(ds, m=2, h=2, seed=5)
+        assert list(map(tree_model_state, a.trees)) == list(map(tree_model_state, b.trees))
+
+    # fit draws every leaf's functions in one pass of lanes; each leaf must
+    # hold, bit for bit, what its own generator gives
+    @settings(max_examples=25)
+    @example(m=30, h=37, seed=2**64 + 5)
+    @given(
+        m=st.integers(1, 30),
+        h=st.sampled_from([1, 10, 37]),
+        seed=st.sampled_from([0, 2**32, 2**64 + 5, 2**200]) | st.integers(0, 2**130),
+    )
+    def test_leaf_functions_match_per_leaf_generators(self, m, h, seed):
+        ds = random_dataset(np.random.default_rng(9), 12, 24)
+        forest = fit(ds, m=m, h=h, slimit=1, seed=seed)
+        for i, model in enumerate(forest.trees):
+            for o, segment in enumerate(model.tree.segments):
+                got = [(fn.width.hex(), fn.offset.hex()) for fn in model.leaf_tables[segment].fns]
+                assert got == [(w.hex(), x.hex()) for w, x in leaf_hash_fns(seed, i, o, ds.n, h)]
 
 
 def _scaled_8x8(peak: float) -> LabeledDataset:

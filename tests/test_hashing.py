@@ -12,27 +12,24 @@ from dlde.hashing import HashFn, build_leaf_tables, check_dataset, sample_hash_f
 from dlde.seeding import HASH_STREAM, spawn_rng
 from dlde.tstree import Segment
 
-from conftest import hash_keys, random_dataset
+from conftest import draw_fns, hash_keys, random_dataset
 from reference import hash_value
 
 
 class TestSampleHashFn:
     def test_width_range_n16(self):
-        rng = np.random.default_rng(0)
-        widths = [fn.width for fn in sample_hash_fn(16, rng, 500)]
-        assert min(widths) >= 0.25 and max(widths) <= 0.75
+        widths, _ = sample_hash_fn(16, np.random.default_rng(0).random(1000))
+        assert widths.min() >= 0.25 and widths.max() <= 0.75
 
     def test_width_range_n5(self):
-        rng = np.random.default_rng(1)
         lo = 1.0 / math.log2(5)
         assert lo == pytest.approx(0.430676558, abs=1e-9)
-        for fn in sample_hash_fn(5, rng, 200):
-            assert lo <= fn.width <= 1.0 - lo
+        widths, _ = sample_hash_fn(5, np.random.default_rng(1).random(400))
+        assert np.all((lo <= widths) & (widths <= 1.0 - lo))
 
     def test_offset_within_width(self):
-        rng = np.random.default_rng(2)
-        for fn in sample_hash_fn(32, rng, 200):
-            assert 0.0 <= fn.offset <= fn.width
+        widths, offsets = sample_hash_fn(32, np.random.default_rng(2).random(400))
+        assert np.all((0.0 <= offsets) & (offsets <= widths))
 
     # the width range is empty or degenerate for n <= 4; fit refuses such a
     # dataset once, before any leaf samples its functions
@@ -42,9 +39,19 @@ class TestSampleHashFn:
             check_dataset(n, 0.0)
 
     def test_deterministic_under_seed(self):
-        a = sample_hash_fn(20, np.random.default_rng(7), 10)
-        b = sample_hash_fn(20, np.random.default_rng(7), 10)
-        assert len(a) == 10 and a == b
+        a = sample_hash_fn(20, np.random.default_rng(7).random(20))
+        b = sample_hash_fn(20, np.random.default_rng(7).random(20))
+        assert a[0].shape == a[1].shape == (10,)
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+
+    # fit maps every leaf's block at once; row k must give what block k alone gives
+    def test_block_rows_match_single_rows(self):
+        u = np.random.default_rng(8).random((7, 2 * 5))
+        widths, offsets = sample_hash_fn(100, u)
+        assert widths.shape == offsets.shape == (7, 5)
+        for k in range(7):
+            w, o = sample_hash_fn(100, u[k])
+            assert (widths[k].tobytes(), offsets[k].tobytes()) == (w.tobytes(), o.tobytes())
 
     # One block of uniforms must give the functions, and leave the stream,
     # exactly as h sequential pairs of scalar rng.uniform draws do.
@@ -55,12 +62,12 @@ class TestSampleHashFn:
         for leaf in range(20):
             batched = spawn_rng(3, HASH_STREAM, n, leaf)
             scalar = spawn_rng(3, HASH_STREAM, n, leaf)
-            fns = sample_hash_fn(n, batched, h)
+            widths, offsets = sample_hash_fn(n, batched.random(2 * h))
             expected = []
             for _ in range(h):
                 width = scalar.uniform(lo, 1.0 - lo)
                 expected.append((width.hex(), scalar.uniform(0.0, width).hex()))
-            assert [(fn.width.hex(), fn.offset.hex()) for fn in fns] == expected
+            assert [(w.hex(), o.hex()) for w, o in zip(widths.tolist(), offsets.tolist())] == expected
             assert batched.random() == scalar.random()
 
 
@@ -71,21 +78,21 @@ class TestHashValue:
 
     def test_monotone_non_decreasing(self):
         rng = np.random.default_rng(3)
-        fn = sample_hash_fn(50, rng, 1)[0]
+        fn = draw_fns(50, rng, 1)[0]
         values = np.sort(rng.normal(size=300) * 5)
         assert np.all(np.diff(hash_keys(fn, values)) >= 0)
 
     def test_separation_beyond_width(self):
         # values more than one bucket width apart never share a key
         rng = np.random.default_rng(4)
-        fn = sample_hash_fn(50, rng, 1)[0]
+        fn = draw_fns(50, rng, 1)[0]
         a = rng.normal(size=300) * 3
         b = a + fn.width * (1.0 + rng.random(size=300) * 4)
         assert np.all(hash_keys(fn, a) != hash_keys(fn, b))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)
-        fn = sample_hash_fn(24, rng, 1)[0]
+        fn = draw_fns(24, rng, 1)[0]
         values = rng.normal(size=(6, 7)) * 10
         keys = hash_keys(fn, values)
         for (i, j), v in np.ndenumerate(values):

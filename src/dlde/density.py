@@ -16,22 +16,23 @@ value grows, so in a leaf's sorted values one key tuple is one run, a
 :func:`leaf_point_densities` first finds where each function's key
 changes in the sorted values.  Where a leaf spans few keys, it hashes only
 the two extremes and searches for each key boundary between them, proving
-each position with the key formula.  Otherwise, or when a proof fails, it
-hashes every value, in blocks of functions that fit ``_BLOCK`` elements.
-Both give the same positions.  It then reads a key's count as a difference
-of cumulative cell counts, again in blocks of functions that fit
-``_BLOCK``.  The sums are exact integers, so neither the path nor the
-blocks change a bit.
+each position with the key formula.  The spread of the values bounds the
+number of key boundaries from below, so a leaf whose spread alone shows
+too many skips the search before it hashes anything.  Otherwise, or when
+a proof fails, it hashes every value, in blocks of functions that fit
+``_BLOCK`` elements.  Both give the same positions.  It then reads a
+key's count as a difference of cumulative cell counts, again in blocks
+of functions that fit ``_BLOCK``.  The sums are exact integers, so
+neither the path nor the blocks change a bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable
 
 import numpy as np
 
 from .hashing import LeafTables, bucket_keys
-from .tstree import Segment, TSTree
 
 __all__ = ["leaf_point_densities", "row_densities"]
 
@@ -56,19 +57,20 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
         (N, L) array, L the segment length; entry (k, i) is the density of
         x[k, segment.start - 1 + i] at its own time index.
     """
-    n, length, fns = x.shape[0], tables.segment.length, tables.fns
+    n, length = x.shape[0], tables.segment.length
+    offsets, widths = tables.params
+    h = len(offsets)
     values = x[:, tables.segment.columns].T.ravel()  # time-major: value p is in column p // n
     order = values.argsort()
     ordered = values.take(order)
-    offsets, widths = np.array([f.offset for f in fns] + [f.width for f in fns]).reshape(2, -1, 1)
 
     # changes[j, p]: function j's key differs between sorted values p - 1
     # and p, and is true at both ends; cells end wherever any key changes.
-    changes = _boundary_changes(ordered, offsets, widths)
+    changes = _boundary_changes(ordered, offsets, widths, tables.reach)
     if changes is None:  # hash every sorted value
-        changes = np.ones((len(fns), ordered.size + 1), dtype=bool)
+        changes = np.ones((h, ordered.size + 1), dtype=bool)
         g = max(1, _BLOCK // ordered.size)
-        for j in range(0, len(fns), g):
+        for j in range(0, h, g):
             keys = bucket_keys(ordered, offsets[j : j + g], widths[j : j + g])
             np.not_equal(keys[:, 1:], keys[:, :-1], out=changes[j : j + g, 1:-1])
     edges = changes.any(axis=0).nonzero()[0]
@@ -77,7 +79,7 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     # counts[c, i]: the points in column i of the cells before cell c, typed for -h*n..h*n.
     index = np.arange(length, edges.size * length, length).repeat(sizes) + order // n
     counts = np.bincount(index, minlength=edges.size * length).reshape(-1, length)
-    counts = counts.cumsum(axis=0, dtype=np.min_scalar_type(-1 - len(fns) * n))
+    counts = counts.cumsum(axis=0, dtype=np.min_scalar_type(-1 - h * n))
 
     # Under function j each key is a run of cells; its count in column i is
     # the difference of counts at the run's edges, positive where i is in N_j.
@@ -85,7 +87,7 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     # edges laid end to end, read modulo edges.size; each function's spare
     # last row takes the step to the next function, and is dropped.
     starts = changes.take(edges, axis=1).ravel()
-    g = min(len(fns), max(1, _BLOCK // counts.size))
+    g = min(h, max(1, _BLOCK // counts.size))
     total = np.zeros((g, edges.size, length), dtype=counts.dtype)
     member = np.ones(total.shape, dtype=bool)
     for j in range(0, starts.size, g * edges.size):
@@ -103,17 +105,31 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
 
 
 def _boundary_changes(
-    ordered: np.ndarray, offsets: np.ndarray, widths: np.ndarray
+    ordered: np.ndarray, offsets: np.ndarray, widths: np.ndarray, reach: float
 ) -> np.ndarray | None:
     """The key changes of :func:`leaf_point_densities`, found from the keys
     of the two extremes and the key boundaries between them, or ``None``
-    where a key reaches ``_EXACT_KEYS``, the boundaries number over
-    ``_BOUNDARY_SHARE`` of the values, or one position is not proven.
+    where the boundaries number over ``_BOUNDARY_SHARE`` of the values, a
+    key reaches ``_EXACT_KEYS``, or one position is not proven.
+
+    Before it hashes anything, the spread of the values bounds the
+    boundaries from below, through ``reach`` = sum of 1 / w_j.  Where that
+    bound alone is over the share, the extremes' keys would be too, so the
+    search is skipped and the path, never a bit, is what this decides.
 
     Function j's key first reaches k, for each k in (lo_j, hi_j], at about
     the first value at or above k * w_j - o_j.  The key formula on that
     value and the one before it proves the position exactly.
     """
+    # Function j's keys span more than (max - min) / w_j - 1 boundaries.
+    # Rounding moves a float key by at most 2**-52 of its magnitude, at most
+    # |max| / w_j + 1 or |min| / w_j + 1 as o_j <= w_j, and the bound by h + 3
+    # roundings.  The slack covers both, and one boundary more, so that a
+    # key that rounds down on a bucket edge cannot tip the decision.
+    h, low, high = len(offsets), float(ordered[0]), float(ordered[-1])
+    slack = 1.0 + (h + 8) * 2.0**-52 * ((abs(low) + abs(high)) * reach + 2 * h)
+    if (high - low) * reach - h - slack > _BOUNDARY_SHARE * ordered.size:
+        return None
     lo, hi = bucket_keys(ordered[[0, -1]], offsets, widths).T
     spans = hi - lo
     if max(-lo.min(), hi.max()) >= _EXACT_KEYS or spans.sum() > _BOUNDARY_SHARE * ordered.size:
@@ -132,19 +148,18 @@ def _boundary_changes(
     return changes
 
 
-def row_densities(
-    x: np.ndarray, tree: TSTree, leaf_tables: Mapping[Segment, LeafTables]
-) -> np.ndarray:
+def row_densities(x: np.ndarray, leaf_tables: Iterable[LeafTables]) -> np.ndarray:
     """Per-row subsequence densities under one tree, for all N rows at once.
 
     Row ``k``'s density is the mean of its d point densities.  Unchecked:
-    ``x`` is the fitted matrix, and ``tree``'s leaves partition its columns.
+    ``x`` is the fitted matrix, and the segments of ``leaf_tables``, one
+    tree's leaves, partition its columns.
     """
     n, d = x.shape
-    # Leaf blocks fill a C-ordered (N, d) per-point density matrix in
-    # temporal order; the row mean's summation order, and so every score
-    # bit, follows that layout, whatever the blocks' own memory order.
+    # Leaf blocks fill a C-ordered (N, d) per-point density matrix, each
+    # column once; the row mean's summation order, and so every score bit,
+    # follows that layout, whatever the blocks' own memory order.
     points = np.empty((n, d))
-    for seg in tree.segments:
-        points[:, seg.columns] = leaf_point_densities(x, leaf_tables[seg])
+    for tables in leaf_tables:
+        points[:, tables.segment.columns] = leaf_point_densities(x, tables)
     return points.mean(axis=1)

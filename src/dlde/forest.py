@@ -121,10 +121,14 @@ def fit(
     tree_ids = np.repeat(np.arange(m), [len(tree.segments) for tree in trees])
     keys = np.column_stack((np.full_like(ordinals, HASH_STREAM), tree_ids, ordinals))
     widths, offsets = sample_hash_fn(dataset.n, spawn_uniforms(seed, keys, 2 * h))
-    fns = tuple(map(HashFn, widths.ravel().tolist(), offsets.ravel().tolist()))
-    leaf_fns = (fns[k:k + h] for k in range(0, len(fns), h))
+    fns = tuple(map(HashFn._make, zip(widths.ravel().tolist(), offsets.ravel().tolist())))
+    # each leaf's (2, h, 1) offsets and widths, and its sum of 1 / width
+    params = np.stack((offsets, widths), 1)[..., None]
+    params.setflags(write=False)
+    leaves = zip(range(0, len(fns), h), params, (1 / widths).sum(axis=1).tolist())
     models = tuple(
-        TreeModel(tree, {s: build_leaf_tables(dataset, s, next(leaf_fns)) for s in tree.segments})
+        TreeModel(tree, {s: build_leaf_tables(dataset, s, fns[k:k + h], params=p, reach=r)
+                         for s, (k, p, r) in zip(tree.segments, leaves)})
         for tree in trees
     )
 
@@ -161,7 +165,7 @@ def _tree_sums(forest: TSForest, dataset: LabeledDataset) -> Iterator[np.ndarray
     x = np.asfortranarray(dataset.subsequences)  # each leaf block a slice
     acc = np.zeros(dataset.n)
     for model in forest.trees:
-        acc += row_densities(x, model.tree, model.leaf_tables)
+        acc += row_densities(x, model.leaf_tables.values())
         yield acc
 
 

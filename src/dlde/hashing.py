@@ -10,15 +10,17 @@ whether every key under every width the range allows fits; so what a fit
 accepts depends on neither its seed nor its number of trees.
 
 A leaf segment of a tree keeps only its ``h`` independently sampled
-bucketing functions.  The counts they induce (how many subsequences put
-each bucket key at each time column) are built where densities are read,
-from the matrix being scored (see :mod:`dlde.density`).
+bucketing functions, both as :class:`HashFn` named tuples and as the
+arrays the density kernel reads.  The counts they induce (how many
+subsequences put each bucket key at each time column) are built where
+densities are read, from the matrix being scored (see :mod:`dlde.density`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +37,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HashFn:
-    """One bucketing function: key = floor((value + offset) / width)."""
+class HashFn(NamedTuple):
+    """One bucketing function: key = floor((value + offset) / width).
+
+    A named tuple, so it also equals the plain tuple ``(width, offset)``.
+    """
 
     width: float
     offset: float
@@ -100,19 +104,46 @@ def bucket_keys(values: np.ndarray, offset, width) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LeafTables:
-    """A leaf segment and the bucketing functions its counts are taken under."""
+    """A leaf segment and the bucketing functions its counts are taken under.
+
+    ``params`` holds the functions' offsets, then their widths, as a
+    read-only (2, h, 1) array that hashes a row of values under all h at
+    once; ``reach`` is the sum of 1 / width, the key boundaries that one
+    unit of spread crosses over all h functions.  :func:`dlde.forest.fit`
+    passes both as views of its arrays; otherwise both are derived from
+    ``fns``, with the same bits.
+    """
 
     segment: Segment
     fns: tuple[HashFn, ...]
+    params: np.ndarray | None = None
+    reach: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.params is None:
+            params = np.array([[fn.offset for fn in self.fns], [fn.width for fn in self.fns]])
+            params.setflags(write=False)
+            object.__setattr__(self, "params", params[..., None])
+        if self.reach is None:
+            object.__setattr__(self, "reach", float((1.0 / self.params[1, :, 0]).sum()))
 
 
 def build_leaf_tables(
-    dataset: LabeledDataset, segment: Segment, fns: tuple[HashFn, ...] | list[HashFn]
+    dataset: LabeledDataset,
+    segment: Segment,
+    fns: tuple[HashFn, ...] | list[HashFn],
+    *,
+    params: np.ndarray | None = None,
+    reach: float | None = None,
 ) -> LeafTables:
     """The leaf of ``dataset`` over ``segment``, under the functions ``fns``.
+
+    ``params`` and ``reach``, when given, must hold the bits that
+    :class:`LeafTables` derives from ``fns``; ``fit`` passes views of the
+    arrays it drew ``fns`` from, so that no leaf rebuilds them.
 
     Unchecked: :func:`check_dataset` has already admitted ``dataset``, so
     the leaf needs no check of its own.  ``dataset`` is unused; the call
     keeps it for the trace hooks of ``benchmarks/``, which read the block.
     """
-    return LeafTables(segment, tuple(fns))
+    return LeafTables(segment, tuple(fns), params, reach)

@@ -128,3 +128,60 @@ def labeled_file(tmp_path):
         return path
 
     return _write
+
+
+# Field text numpy's C reader and float() may read differently: padding,
+# underscores, non-ASCII digits and spaces, NUL, \f and the separator
+# controls \x1c-\x1f, quotes, '#', non-finite, overflowing and subnormal
+# values.
+_ODD_FIELDS = [
+    "", " ", "\t", "1_0", "１", "２.5", "\x00", "1\x00", "\f1", "1\f", "1\x1c", "\x1d2",
+    "\x1e", "3\x1f", '"1"', "#", "1#", "nan", "inf", "-inf", "1e400", "-1e400", "4.9e-324",
+    "2.5e-320", "\xa01", "1\u3000", " 2 ", "1.5 2", "0x10", "1j", "+.5", "5.", "\x85", "1e",
+]
+_CLEAN_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(min_value=-1e-307, max_value=1e-307).map(repr),
+    st.builds(  # 25-digit mantissas
+        "{}{}.{}{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.integers(0, 10**12),
+        st.integers(10**24, 10**25 - 1),
+        st.sampled_from(["", "e-320", "e-308", "E+300", "e-330"]),
+    ),
+)
+
+
+@st.composite
+def delimited_files(draw) -> tuple[bytes, str | None]:
+    """The bytes of a delimited file, and the ``delimiter`` to parse it with.
+
+    Half the files hold equal-width rows of plain numbers, which the C
+    reader mostly reads; the other half mix in odd fields, ragged rows,
+    blank and whitespace-only lines and a byte that is not UTF-8.
+    """
+    delimiter = draw(st.sampled_from(
+        [None, None, ",", "\t", ";", " ", "\x00", "\x1c", "e", ".", "#", '"', "\n", ";;"]
+    ))
+    sep = delimiter
+    if sep in (None, ";;"):
+        sep = draw(st.sampled_from([",", "\t"]))
+    odd = draw(st.booleans())
+    fields = st.one_of(_CLEAN_FIELDS, st.sampled_from(_ODD_FIELDS)) if odd else _CLEAN_FIELDS
+    width = draw(st.integers(1, 7))
+    widths = st.integers(max(1, width - 1), width + 1) if odd else st.just(width)
+    rows = st.lists(widths.flatmap(lambda w: st.lists(fields, min_size=w, max_size=w)), min_size=1, max_size=8)
+    lines = [sep.join(row) for row in draw(rows)]
+    if odd:
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\f", "\x1c", "\x85"])))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (ending.join(lines) + draw(st.sampled_from([ending, ""]))).encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if odd and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, delimiter

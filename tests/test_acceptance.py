@@ -104,7 +104,7 @@ def test_criterion_1_oracle_equivalence():
         for model in forest.trees:
             fns_by_leaf = {seg: t.fns for seg, t in model.leaf_tables.items()}
             expected = tree_row_densities(rows, model.tree, fns_by_leaf)
-            got = row_densities(x, model.tree, model.leaf_tables)
+            got = row_densities(x, model.leaf_tables.values())
             worst = max(worst, float(np.abs(got - np.asarray(expected)).max()))
 
         expected_scores = forest_scores(rows, forest)

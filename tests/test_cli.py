@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import gzip
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -12,10 +15,13 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 import dlde
 from dlde import (
@@ -28,7 +34,7 @@ from dlde import (
 )
 from dlde.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_IO, EXIT_METRIC, EXIT_OK, build_parser, main
 
-from conftest import heartbeat_series, random_dataset, write_labeled_file
+from conftest import delimited_files, heartbeat_series, random_dataset, write_labeled_file
 
 
 def _write_dataset(tmp_path, n=20, d=10, anomalies=5, seed=0, name="data.csv"):
@@ -639,6 +645,115 @@ def test_golden_artifacts(tmp_path, monkeypatch, argv, digests, fmt):
     _strict_json(text if fmt == "json" else text.splitlines()[0][len("# config: "):])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
 
+
+@st.composite
+def _labeled_bytes(draw, usable: bool) -> tuple[bytes, None]:
+    """A well-formed label-first file of Gaussian rows labeled 0 and 1: 5 to
+    10 unit-scale rows of 4 to 8 values when ``usable``, else also fewer
+    rows, fewer values and rows 1000 times the unit scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(5 if usable else 3, 10)), draw(st.integers(4 if usable else 3, 8))
+    x = rng.normal(size=(n, d)) * draw(st.sampled_from([1.0] if usable else [1.0, 1000.0]))
+    labels = rng.integers(0, 2, size=n)
+    lines = [",".join([str(y)] + [repr(float(v)) for v in row]) for y, row in zip(labels, x)]
+    return ("\n".join(lines) + "\n").encode(), None
+
+
+@st.composite
+def _cli_calls(draw) -> tuple[bytes, str, list[str]]:
+    """A file, where the artifact goes, and a command line that reads the
+    file: a subcommand and flags drawn from the edge values of each.  Half
+    the calls keep to a unit-scale file and usable flags, so that a share of
+    them succeed, or fail only as they write."""
+    usable = draw(st.booleans())
+    files = _labeled_bytes(True) if usable else delimited_files() | _labeled_bytes(False)
+    data, delimiter = draw(files)
+    command = draw(st.sampled_from(["detect", "evaluate", "sweep"]))
+    counts = st.sampled_from([1, 3] if usable else [-1, 0, 1, 3])
+    argv = [command, "--trees", str(draw(counts)), "--hashes", str(draw(counts)),
+            "--slimit", str(draw(counts)), "--seed", str(draw(st.sampled_from([0, 5])))]
+    if (hlimit := draw(st.sampled_from([None, 0, 2] if usable else [None, -1, 0, 2]))) is not None:
+        argv += ["--hlimit", str(hlimit)]
+    if delimiter is not None:
+        argv += ["--delimiter", delimiter]
+    if draw(st.booleans()):
+        argv.append("--normalize")
+    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    anomaly_class = st.sampled_from(["1", "0"] if usable else ["1", "0", "2.5", "nan", "inf"])
+    if command == "detect":
+        subseq_len = st.none() | (st.integers(4, 12) if usable else st.integers(-2, 12))
+        if (length := draw(subseq_len)) is not None:
+            argv += ["--subseq-len", str(length)]
+        if draw(st.booleans()):
+            argv += ["--anomaly-class", draw(anomaly_class)]
+    else:
+        argv += ["--anomaly-class", draw(anomaly_class),
+                 "--repeats", str(draw(st.sampled_from([1, 2] if usable else [0, 1, 2])))]
+    if command == "sweep":
+        values = ["1", "1,3"] if usable else ["1", "1,3", "2,,1", "0", "-1", "1.5", "", "x"]
+        argv += ["--param", draw(st.sampled_from(["m", "h"])), "--values", draw(st.sampled_from(values))]
+    output = draw(st.sampled_from(["file", "file", "missing_dir", "directory", "full_disk"]))
+    return data, output, argv
+
+
+def _full_disk_open(file, mode="r", **kwargs):
+    """``open``, but a file it creates exclusively, as the artifact's
+    temporary file is created, refuses every write as a full disk does."""
+    fh = open(file, mode, **kwargs)
+    if "x" in mode:
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        fh.write = write
+    return fh
+
+
+class TestExitContract:
+    """Whatever the input and flags, ``main`` ends in a documented exit code,
+    never in another exception: 0, or one ``dlde:`` line on stderr and exit
+    2 to 5, or argparse's usage error.  Only exit 0 leaves an artifact, and
+    no exit leaves a temporary file."""
+
+    @settings(max_examples=150)
+    @given(call=_cli_calls())
+    def test_every_call_ends_in_a_documented_exit(self, call):
+        data, output, argv = call
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            root = Path(tmp)
+            (root / "input").write_bytes(data)
+            out = root / {"missing_dir": "absent/out", "directory": "a_directory"}.get(output, "out")
+            if output == "directory":
+                out.mkdir()
+            if output == "full_disk":
+                mp.setattr("dlde.cli.open", _full_disk_open, raising=False)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                try:
+                    code = main([*argv, "--input", str(root / "input"), "--output", str(out)])
+                except SystemExit as exc:  # argparse's usage error, before any work
+                    assert exc.code == EXIT_CONFIG
+                    code = None
+            left = sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+            artifact = out.read_text(encoding="utf-8") if code == EXIT_OK else None
+        note(f"exit {code}: {stderr.getvalue()!r}")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INPUT, EXIT_METRIC, EXIT_IO, None)
+        if code != EXIT_OK:
+            assert left == (["a_directory", "input"] if output == "directory" else ["input"])
+            if code is not None:
+                (line,) = stderr.getvalue().splitlines()
+                assert line.startswith("dlde: ")
+            return
+        assert left == ["input", "out"]
+        if argv[argv.index("--format") + 1] == "json":
+            loaded = _strict_json(artifact)
+            config, rows = loaded["config"], loaded["rows"]
+        else:
+            header, *lines = artifact.splitlines()
+            assert header.startswith("# config: ")
+            config, rows = _strict_json(header[len("# config: "):]), lines[1:]
+        # one row per subsequence, run or swept value
+        per = {"detect": "n", "evaluate": "repeats", "sweep": "values"}[argv[0]]
+        assert len(rows) == (len(config[per]) if per == "values" else config[per])
 
 class TestParser:
     def test_unknown_command_rejected(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, note
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import dlde
@@ -227,8 +227,8 @@ class TestPointDensity:
         x[4] += 10.0
         ds = LabeledDataset(x, np.zeros(n, int))
         fns = [HashFn(0.5, 0.1), HashFn(0.3, 0.0)]
-        tree, tables = _single_leaf_model(ds, fns)
-        densities = row_densities(x, tree, tables)
+        _, tables = _single_leaf_model(ds, fns)
+        densities = row_densities(x, tables.values())
         assert densities[4] == len(fns) * 1.0
         assert densities[0] == len(fns) * (n - 1)
         assert densities[4] < densities[0]
@@ -237,15 +237,15 @@ class TestPointDensity:
 class TestSubsequenceDensity:
     def test_identical_rows(self):
         ds = _identical_rows(7, 5)
-        tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
-        np.testing.assert_array_equal(row_densities(ds.subsequences, tree, tables), 7.0)
+        _, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
+        np.testing.assert_array_equal(row_densities(ds.subsequences, tables.values()), 7.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_self_count_floor(self, seed):
         rng = np.random.default_rng(40 + seed)
         ds = LabeledDataset(rng.normal(size=(9, 7)), np.zeros(9, int))
         model = fit(ds, m=2, h=2, seed=seed).trees[0]
-        assert row_densities(ds.subsequences, model.tree, model.leaf_tables).min() >= 1.0
+        assert row_densities(ds.subsequences, model.leaf_tables.values()).min() >= 1.0
 
 
 # Offset 0, offset equal to the width, and one in between.
@@ -325,7 +325,7 @@ class TestOracleEquivalence:
             fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
             expected = np.mean(np.array(tree_point_densities(rows, model.tree, fns_by_leaf)), axis=1)
             np.testing.assert_array_equal(
-                row_densities(ds.subsequences, model.tree, model.leaf_tables), expected
+                row_densities(ds.subsequences, model.leaf_tables.values()), expected
             )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -345,7 +345,7 @@ class TestOracleEquivalence:
         ds = LabeledDataset(x, np.zeros(11, int))
         model = fit(ds, m=1, h=12, hlimit=0, seed=2).trees[0]
         self._assert_leaves_match_bruteforce(x, model)
-        np.testing.assert_array_equal(row_densities(x, model.tree, model.leaf_tables), 12.0)
+        np.testing.assert_array_equal(row_densities(x, model.leaf_tables.values()), 12.0)
 
     def test_single_full_length_leaf_matches_bruteforce(self):
         # hlimit=0: one leaf over all d columns, the widest (U, L) gathers
@@ -373,7 +373,8 @@ class TestOracleEquivalence:
     # reading runs.  Budgets set from the leaf force each block shape: g = 1;
     # g = 3 of h = 10, so the last block is short; g = h; h = 1; cells * L
     # over the budget.  A negative boundary share keeps the leaf on that
-    # path, after the one call that hashes its two extremes.
+    # path: its spread alone rules the boundary search out, so no call
+    # hashes its two extremes.
     @pytest.mark.parametrize(
         "h, budget, hashed, counted",
         [
@@ -396,7 +397,7 @@ class TestOracleEquivalence:
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         got = leaf_point_densities(x, LeafTables(segment, fns))
         shapes = [(v.shape, o.shape) for v, o, _ in calls]
-        assert shapes == [((2,), (h, 1))] + [((values,), (g, 1)) for g in hashed]
+        assert shapes == [((values,), (g, 1)) for g in hashed]
         assert min(h, max(1, budget(values, counts) // counts)) == counted
         np.testing.assert_array_equal(got, np.array(expected))
 
@@ -472,15 +473,41 @@ def boundary_leaves(draw) -> tuple[np.ndarray, list[HashFn]]:
     return values, fns
 
 
-def _two_values(a: float, b: float) -> np.ndarray:
-    """Eight each of ``a`` and ``b``, in a (4, 4) leaf."""
-    return np.array([a, b] * 8).reshape(4, 4)
+@st.composite
+def spread_leaves(draw) -> tuple[np.ndarray, list[HashFn]]:
+    """A leaf's (N, L) values and functions, spread over up to 40 buckets
+    of one function, each value on one of its bucket edges k * w - o, one
+    float either side, or inside the bucket."""
+    fns = draw(st.lists(hash_fns, min_size=1, max_size=4))
+    fn = draw(st.sampled_from(fns))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 6)))
+    edges = rng.integers(-20, 21, size=shape) * fn.width - fn.offset
+    inside = edges + rng.random(shape) * fn.width
+    step = rng.integers(-1, 3, size=shape)
+    values = np.select([step < 0, step == 1, step > 1],
+                       [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), inside], edges)
+    return values, fns
 
 
-def _hashes_boundaries(calls) -> bool:
-    """Whether the kernel's bucket_keys calls took the boundary path: the
-    extremes, then one (2, K) block of values either side of K boundaries."""
-    return len(calls) == 2 and calls[1][0].ndim == 2
+def _two_values(a: float, b: float, each: int = 8) -> np.ndarray:
+    """``each`` each of ``a`` and ``b``, in a leaf of four columns."""
+    return np.array([a, b] * each).reshape(-1, 4)
+
+
+def _path(calls, size: int) -> str:
+    """The path the kernel's bucket_keys calls took through a leaf of
+    ``size`` values: ``"search"`` hashes the extremes, then one (2, K) block
+    of values either side of K boundaries; ``"skipped"`` hashes every value
+    from the first call, the spread having ruled the search out; and
+    ``"gave_up"`` hashes the extremes, then every value.  In a leaf of at
+    most two values the extremes are every value, so a lone call marks the
+    skip there."""
+    if len(calls) == 2 and calls[1][0].ndim == 2:
+        return "search"
+    if calls[0][0].size == size and (size > 2 or len(calls) == 1):
+        return "skipped"
+    return "gave_up"
 
 
 class TestBoundaryHashing:
@@ -498,33 +525,64 @@ class TestBoundaryHashing:
                 mp.setattr(dlde.density, "_BOUNDARY_SHARE", share)
                 calls = _spy_bucket_keys(mp)
                 got[share] = leaf_point_densities(x, tables).tobytes()
-                note(f"share {share}: boundary path {_hashes_boundaries(calls)}")
+                note(f"share {share}: path {_path(calls, x.size)}")
         assert len(set(got.values())) == 1
 
-    # (values, functions, whether the boundary path is taken); each column of
-    # values is one leaf column.  Under width 0.5 and offset 0 the key is 2v.
+    # The spread bound may skip only a search that would give up on its
+    # count: then the keys of the extremes span more boundaries than the
+    # share allows.  That holds at every share once it holds where the
+    # limit is the span count itself, the share drawn here; there the
+    # bound's slack alone keeps the search.
+    @settings(max_examples=150)
+    @given(leaf=boundary_leaves() | spread_leaves())
+    def test_spread_bound_skips_only_hopeless_searches(self, leaf):
+        x, fns = leaf
+        low, high = float(x.min()), float(x.max())
+        spans = sum(hash_value(fn, high) - hash_value(fn, low) for fn in fns)
+        tables = LeafTables(Segment(1, x.shape[1]), tuple(fns))
+        with np.errstate(all="raise", under="ignore"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dlde.density, "_BOUNDARY_SHARE", spans / x.size)
+            calls = _spy_bucket_keys(mp)
+            leaf_point_densities(x, tables)
+            limit = dlde.density._BOUNDARY_SHARE * x.size
+        note(f"path {_path(calls, x.size)}, spans {spans}, limit {limit}")
+        if _path(calls, x.size) == "skipped":
+            assert spans > limit
+
+    # (values, functions, the path taken); each column of values is one leaf
+    # column.  Under width 0.5 and offset 0 the key is 2v.
     HALF = HashFn(0.5, 0.0)
     PATHS = {
-        "all_equal": (np.full((6, 5), 0.4), EDGE_FNS, True),
-        "one_key_each": (0.4 + 1e-9 * np.arange(12.0).reshape(4, 3), EDGE_FNS, True),
+        "all_equal": (np.full((6, 5), 0.4), EDGE_FNS, "search"),
+        "one_key_each": (0.4 + 1e-9 * np.arange(12.0).reshape(4, 3), EDGE_FNS, "search"),
         # 16 values of two keys each: 1 or 2 boundaries, within 1/8 of them
-        "keys_below_2**52": (_two_values(2.0**51 - 1, 2.0**51 - 2), (HALF,), True),
-        "keys_at_2**52": (_two_values(2.0**51, 2.0**51 - 1), (HALF,), False),
-        "keys_above_-2**52": (_two_values(-(2.0**51) + 1, -(2.0**51) + 0.5), (HALF,), True),
-        "keys_at_-2**52": (_two_values(-(2.0**51), -(2.0**51) + 1), (HALF,), False),
+        "keys_below_2**52": (_two_values(2.0**51 - 1, 2.0**51 - 2), (HALF,), "search"),
+        "keys_at_2**52": (_two_values(2.0**51, 2.0**51 - 1), (HALF,), "gave_up"),
+        "keys_above_-2**52": (_two_values(-(2.0**51) + 1, -(2.0**51) + 0.5), (HALF,), "search"),
+        "keys_at_-2**52": (_two_values(-(2.0**51), -(2.0**51) + 1), (HALF,), "gave_up"),
         # 16 values: 2 boundaries are within 1/8 of them, 3 are not
-        "share_met": (_two_values(0.0, 1.0), (HALF,), True),
-        "share_exceeded": (_two_values(0.0, 1.5), (HALF,), False),
+        "share_met": (_two_values(0.0, 1.0), (HALF,), "search"),
+        "share_exceeded": (_two_values(0.0, 1.5), (HALF,), "gave_up"),
+        # a spread of s crosses more than 2s - 1 boundaries: less a slack of
+        # one, that bound alone is over 2 at s = 2.5, and not at s = 2
+        "spread_over_share": (_two_values(0.0, 2.5), (HALF,), "skipped"),
+        "spread_within_slack": (_two_values(0.0, 2.0), (HALF,), "gave_up"),
+        # on the edges of keys -11 and -2 under width and offset 0.1, the
+        # upper key rounds down to -3: 8 boundaries, which 64 values allow.
+        # The spread bound reads 8 and an ulp; its slack keeps the search.
+        "edge_key_rounds_down": (
+            _two_values(-11 * 0.1 - 0.1, -2 * 0.1 - 0.1, 32), (HashFn(0.1, 0.1),), "search"
+        ),
     }
 
     @pytest.mark.parametrize("case", PATHS)
     def test_path_and_densities(self, monkeypatch, case):
-        x, fns, boundary = self.PATHS[case]
+        x, fns, path = self.PATHS[case]
         segment = Segment(1, x.shape[1])
         calls = _spy_bucket_keys(monkeypatch)
         with np.errstate(all="raise"):
             got = leaf_point_densities(x, LeafTables(segment, tuple(fns)))
-        assert _hashes_boundaries(calls) == boundary
+        assert _path(calls, x.size) == path
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         np.testing.assert_array_equal(got, np.array(expected))
 
@@ -553,5 +611,5 @@ class TestMemoryOrder:
         for seg in model.tree.segments:
             tables = model.leaf_tables[seg]
             assert leaf_point_densities(f, tables).tobytes() == leaf_point_densities(x, tables).tobytes()
-        rows = row_densities(f, model.tree, model.leaf_tables)
-        assert rows.tobytes() == row_densities(x, model.tree, model.leaf_tables).tobytes()
+        rows = row_densities(f, model.leaf_tables.values())
+        assert rows.tobytes() == row_densities(x, model.leaf_tables.values()).tobytes()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -15,7 +16,7 @@ import dlde.hashing
 from dlde import ConfigurationError, LabeledDataset, fit, score
 from dlde.density import leaf_point_densities
 from dlde.forest import _tree_sums, anomaly_scores
-from dlde.hashing import HashFn, bucket_keys
+from dlde.hashing import HashFn, LeafTables, bucket_keys
 from dlde.tstree import Segment, leaves
 
 from conftest import hash_keys, matrices, random_dataset, tree_model_state
@@ -66,12 +67,14 @@ class TestFit:
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
         # fit proves the key range from the dataset's peak and hashes
-        # nothing.  score, leaf by leaf, first hashes the leaf's two extremes
-        # under all its functions in one call.  On the full-hash path it then
-        # hashes the leaf's sorted values under each function exactly once,
-        # in order, in blocks of (g, 1) offset and width columns; on the
-        # boundary path, one call hashes the two values around every key
-        # boundary between the extremes.  Nothing else is hashed.
+        # nothing.  score, leaf by leaf, hashes on one of two paths.  Under a
+        # negative share the leaf's spread alone rules the boundary search
+        # out, and the full-hash path hashes the leaf's sorted values under
+        # each function exactly once, in order, in blocks of (g, 1) offset
+        # and width columns.  On the boundary path, one call hashes the
+        # leaf's two extremes under all its functions, and one more the two
+        # values around every key boundary between them.  Nothing else is
+        # hashed.
         calls = []
 
         def counting(values, offset, width):
@@ -102,10 +105,9 @@ class TestFit:
             monkeypatch.setattr(dlde.density, "_BLOCK", budget)
             calls.clear()
             score(forest, ds)
-            assert len(calls) == len(tables) * (1 + per_leaf)
+            assert len(calls) == len(tables) * per_leaf
             for i, (leaf, block) in enumerate(zip(tables, blocks)):
-                ends, *hashed = calls[(1 + per_leaf) * i : (1 + per_leaf) * (i + 1)]
-                assert_extremes(ends, leaf, block)
+                hashed = calls[per_leaf * i : per_leaf * (i + 1)]
                 assert [
                     (o, w)
                     for _, offset, width in hashed
@@ -211,6 +213,34 @@ class TestFit:
             for o, segment in enumerate(model.tree.segments):
                 got = [(fn.width.hex(), fn.offset.hex()) for fn in model.leaf_tables[segment].fns]
                 assert got == [(w.hex(), x.hex()) for w, x in leaf_hash_fns(seed, i, o, ds.n, h)]
+
+    # fit hands each leaf views of the arrays it drew the functions from;
+    # they hold the bits that LeafTables derives from the functions alone
+    @pytest.mark.parametrize("h", [1, 10])
+    @pytest.mark.parametrize("n, d, seed", [(9, 16, 0), (40, 30, 1), (200, 12, 2)])
+    def test_leaf_arrays_match_functions(self, n, d, h, seed):
+        forest = fit(random_dataset(np.random.default_rng(seed), n, d), m=3, h=h, seed=seed)
+        for model in forest.trees:
+            for segment, tables in model.leaf_tables.items():
+                derived = LeafTables(segment, tables.fns)
+                assert tables.params.shape == derived.params.shape == (2, h, 1)
+                assert not (tables.params.flags.owndata or tables.params.flags.writeable)
+                assert tables.params.tobytes() == derived.params.tobytes()
+                assert np.float64(tables.reach).tobytes() == np.float64(derived.reach).tobytes()
+
+    def test_scoring_reads_no_hash_fn(self):
+        # the kernel reads a leaf's arrays alone: functions that have no
+        # width and no offset score the same bytes
+        ds = random_dataset(np.random.default_rng(5), 30, 20, anomalies=3)
+        forest = fit(ds, m=3, h=10, seed=5)
+        blank = replace(forest, trees=tuple(
+            replace(model, leaf_tables={
+                s: LeafTables(s, tuple(object() for _ in t.fns), t.params, t.reach)
+                for s, t in model.leaf_tables.items()
+            })
+            for model in forest.trees
+        ))
+        assert score(blank, ds).scores.tobytes() == score(forest, ds).scores.tobytes()
 
 
 def _scaled_8x8(peak: float) -> LabeledDataset:

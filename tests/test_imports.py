@@ -1,5 +1,5 @@
-"""Every module-level import of the package and the tests is used, and
-every name a package module exports is bound.
+"""Every module-level import of the package, the tests and the benchmark
+scripts is used, and every name a package module exports is bound.
 
 No linter runs on this repository, so this catches what a deletion most
 often leaves behind: an import that nothing reads, or an ``__all__`` entry
@@ -33,7 +33,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_module_level_imports_are_used():
-    paths = [*ROOT.glob("src/dlde/*.py"), *ROOT.glob("tests/*.py")]
+    paths = [*ROOT.glob("src/dlde/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("benchmarks/*.py")]
     unused = {
         str(p.relative_to(ROOT)): names
         for p in sorted(paths)

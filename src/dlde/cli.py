@@ -14,7 +14,7 @@ Exit codes:
     3  input file could not be parsed
     4  metric undefined for the input (e.g. single-class labels)
     5  I/O failure, also an input that is a pipe (it is read more than once)
-    1  unexpected internal error
+    1  unexpected internal error or out of memory
 """
 
 from __future__ import annotations
@@ -294,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"dlde: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"dlde: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyInputError, InputFormatError
+from .errors import ConfigurationError, EmptyInputError, InputFormatError, require_int
 
 __all__ = [
     "LabeledDataset",
@@ -55,7 +55,7 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.subsequences, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = np.asarray(self.labels)  # checked as given, then cast
         if x.ndim != 2:
             raise ValueError(f"subsequences must be a 2-D matrix, got shape {x.shape}")
         if x.shape[0] < 1:
@@ -71,7 +71,7 @@ class LabeledDataset:
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary (0 = normal, 1 = anomaly)")
         x = x.copy()
-        y = y.copy()
+        y = y.astype(np.int64)
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "subsequences", x)
@@ -279,15 +279,13 @@ def window_series(series: np.ndarray, s: int) -> LabeledDataset:
     all zero (no anomaly information is carried over).
 
     Raises:
-        ConfigurationError: ``s`` is below 4 or exceeds the series length.
+        ConfigurationError: ``s`` is not an integer >= 4 (a float never
+            is), or it exceeds the series length.
     """
     values = np.asarray(series, float).ravel()
-    if s < 4:
-        raise ConfigurationError(f"window length must be >= 4, got {s}")
+    s = require_int(s, 4, "window length")
     if s > values.size:
-        raise ConfigurationError(
-            f"window length {s} exceeds series length {values.size}"
-        )
+        raise ConfigurationError(f"window length {s} exceeds series length {values.size}")
     count = values.size // s
     windows = values[: count * s].reshape(count, s)
     return LabeledDataset(windows, np.zeros(count, dtype=np.int64))

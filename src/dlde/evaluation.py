@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import ConfigurationError, MetricError
+from .errors import ConfigurationError, MetricError, require_int
 from .forest import _tree_sums, fit, score
 from .seeding import RUN_STREAM, derive_seed
 
@@ -107,7 +107,7 @@ def run_experiment(config: ExperimentConfig, dataset: LabeledDataset) -> Experim
             first (:func:`dlde.znormalize`) if it is not near unit scale.
 
     Raises:
-        ConfigurationError: ``repeats`` < 1 or unusable parameters.
+        ConfigurationError: ``repeats`` not an integer >= 1, or unusable parameters.
         MetricError: labels are single-class.
     """
     return _runs(config, [config.m], dataset)[0]
@@ -122,8 +122,7 @@ def _runs(
     fit with ``m`` trees is the first ``m`` trees of one with ``max(ms)``,
     and its scores are the running density sum after ``m`` trees over ``m``.
     """
-    if config.repeats < 1:
-        raise ConfigurationError(f"repeats must be >= 1, got {config.repeats}")
+    repeats = require_int(config.repeats, 1, "repeats")
     labels = dataset.labels
     if len(set(labels.tolist())) < 2:
         raise MetricError("dataset labels contain a single class; AUC undefined")
@@ -131,7 +130,7 @@ def _runs(
     aucs: dict[int, list[float]] = {m: [] for m in ms}
     seconds: dict[int, list[float]] = {m: [] for m in ms}
     seeds: list[int] = []
-    for i in range(config.repeats):
+    for i in range(repeats):
         run_seed = derive_seed(config.base_seed, RUN_STREAM, i)
         started = time.perf_counter()
         forest = fit(dataset, m=max(ms), h=config.h, slimit=config.slimit,
@@ -170,15 +169,13 @@ def sweep(
 
     Raises:
         ConfigurationError: unknown parameter name, empty value list, or
-            a value that is not a positive integer.
+            a value that is not an integer >= 1 (a float never is).
     """
     if param not in ("m", "h"):
         raise ConfigurationError(f"sweep parameter must be 'm' or 'h', got {param!r}")
     if len(values) == 0:
         raise ConfigurationError("sweep needs at least one parameter value")
-    for v in values:
-        if int(v) != v or int(v) < 1:
-            raise ConfigurationError(f"invalid value for {param}: {v!r} (need integer >= 1)")
+    values = [require_int(v, 1, f"invalid value for {param}:") for v in values]
     if param == "m":
-        return _runs(config, [int(v) for v in values], dataset)
-    return [run_experiment(replace(config, h=int(v)), dataset=dataset) for v in values]
+        return _runs(config, values, dataset)
+    return [run_experiment(replace(config, h=v), dataset=dataset) for v in values]

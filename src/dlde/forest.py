@@ -23,9 +23,9 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .density import row_densities
-from .errors import ConfigurationError
+from .errors import require_int
 from .hashing import HashFn, LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
-from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, spawn_uniforms, validate_seed
+from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, spawn_uniforms
 from .tstree import Segment, TSTree, build_tstree
 
 __all__ = [
@@ -95,26 +95,22 @@ def fit(
             reproduces the first trees unchanged.
 
     Raises:
-        ConfigurationError: Non-positive ``m``/``h``/``slimit``, negative
-            ``hlimit`` or ``seed``, a dataset too small to sample hash
-            widths for, or values so far off the unit scale that a bucket
-            key could leave int64 under some width (z-normalize such data
-            first).  The parameters are checked first, then the dataset,
-            once per fit (see :func:`dlde.hashing.check_dataset`).
+        ConfigurationError: ``m``/``h``/``slimit`` not an integer >= 1,
+            ``hlimit`` (unless None) or ``seed`` not an integer >= 0, a
+            dataset too small to sample hash widths for, or values so far
+            off the unit scale that a bucket key could leave int64 under
+            some width (z-normalize such data first).  The parameters are
+            checked first, then the dataset, once per fit (see
+            :func:`dlde.hashing.check_dataset`).
     """
-    if m < 1:
-        raise ConfigurationError(f"tree count must be >= 1, got {m}")
-    if h < 1:
-        raise ConfigurationError(f"hash count must be >= 1, got {h}")
-    if slimit < 1:
-        raise ConfigurationError(f"slimit must be >= 1, got {slimit}")
-    if hlimit is not None and hlimit < 0:
-        raise ConfigurationError(f"hlimit must be >= 0, got {hlimit}")
-    seed = validate_seed(seed)
+    m = require_int(m, 1, "tree count")
+    h = require_int(h, 1, "hash count")
+    slimit = require_int(slimit, 1, "slimit")
+    hlimit = int(math.log2(dataset.d)) if hlimit is None else require_int(hlimit, 0, "hlimit")
+    seed = require_int(seed, 0, "seed")
     check_dataset(dataset.n, dataset.peak)
-    resolved_hlimit = hlimit if hlimit is not None else int(math.floor(math.log2(dataset.d)))
 
-    trees = [build_tstree(dataset.d, resolved_hlimit, slimit, spawn_rng(seed, TREE_STREAM, i))
+    trees = [build_tstree(dataset.d, hlimit, slimit, spawn_rng(seed, TREE_STREAM, i))
              for i in range(m)]
     # one lane per leaf, keyed (HASH_STREAM, tree, ordinal), in tree then leaf order
     ordinals = np.concatenate([np.arange(len(tree.segments)) for tree in trees])
@@ -132,7 +128,7 @@ def fit(
         for tree in trees
     )
 
-    return TSForest(trees=models, hlimit=resolved_hlimit, n=dataset.n, d=dataset.d,
+    return TSForest(trees=models, hlimit=hlimit, n=dataset.n, d=dataset.d,
                     digest=_digest(dataset))
 
 

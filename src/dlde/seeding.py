@@ -12,11 +12,9 @@ their spawn keys must be below 2**32; numpy splits a larger one.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import require_int
 
 TREE_STREAM = 0  # split-point draws while growing one tree
 HASH_STREAM = 1  # per-leaf hash parameter sampling
@@ -31,27 +29,19 @@ _PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341
 _PCG_LO0, _PCG_LO1 = _PCG_LO & _MASK32, _PCG_LO >> 32
 
 
-def validate_seed(seed: int) -> int:
-    """``seed`` as an int; ConfigurationError unless ``operator.index``
-    takes it (a float does not) and it is non-negative."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
-
-
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream addressed by ``path`` under ``seed``, a
-    seed that :func:`validate_seed` has returned."""
+    seed that :func:`dlde.errors.require_int` has admitted."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
-    """A 64-bit integer seed for the stream addressed by ``path``."""
-    ss = np.random.SeedSequence(validate_seed(seed), spawn_key=tuple(path))
+    """A 64-bit integer seed for the stream addressed by ``path``.
+
+    Raises:
+        ConfigurationError: ``seed`` is not an integer >= 0.
+    """
+    ss = np.random.SeedSequence(require_int(seed, 0, "seed"), spawn_key=tuple(path))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -89,7 +79,7 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 def spawn_uniforms(seed: int, keys, count: int) -> np.ndarray:
     """Row k holds the first ``count`` doubles of
     ``spawn_rng(seed, *keys[k]).random()``, for a (lanes, words) block of
-    spawn ``keys`` and a seed that :func:`validate_seed` has returned.
+    spawn ``keys`` and a seed that :func:`dlde.errors.require_int` has admitted.
 
     Raises:
         ValueError: ``keys`` is not a 2-D block of integers in [0, 2**32).

@@ -208,6 +208,21 @@ class TestDetect:
         assert list(tmp_path.rglob("*.tmp")) == []
 
 
+    # numpy raises a MemoryError subclass for an array it cannot allocate,
+    # as --hashes 1000000000000 asks for; a real one is never made here,
+    # since where memory is overcommitted it can succeed and then be touched
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 407. TiB"), MemoryError()])
+    def test_out_of_memory_exits_in_one_line(self, tmp_path, monkeypatch, capsys, exc):
+        def fit(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("dlde.cli.fit", fit)
+        data, out = _write_dataset(tmp_path), tmp_path / "scores.csv"
+        assert main(["detect", "--input", str(data), "--output", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("dlde: out of memory: ") and line.endswith(str(exc) or "failed")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     # line 2 holds the byte 0xff, which no UTF-8 text contains
     @pytest.mark.parametrize(
         "content, extra, where",

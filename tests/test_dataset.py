@@ -522,6 +522,15 @@ class TestContainers:
             LabeledDataset([[1.0, 2.0, 3.0, 4.0]], [2])
         with pytest.raises(ValueError, match="one entry per"):
             LabeledDataset([[1.0, 2.0, 3.0, 4.0]], [0, 1])
+        # checked as given, before the int64 cast: 0.5 and 1.7 used to
+        # truncate to 0 and 1, and NaN raised numpy's conversion error
+        six = np.arange(24.0).reshape(6, 4)
+        for labels in ([0, 0.5, 1.7, 0, 1, 0], [0, np.nan, 1, 0, 1, 0], ["0"] * 6):
+            with pytest.raises(ValueError, match="binary"):
+                LabeledDataset(six, labels)
+        for labels in ([0, 1] * 3, [True, False] * 3, [0.0, 1.0] * 3, np.ones(6, np.uint8)):
+            ds = LabeledDataset(six, labels)
+            assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [int(v) for v in labels]
 
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

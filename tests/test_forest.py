@@ -176,17 +176,24 @@ class TestFit:
             )
             np.testing.assert_array_equal(got, tree_point_densities(x.tolist(), model.tree, fns))
 
+    # the first five below the bound; then floats, integral or not, which
+    # slimit and hlimit used to take and m refused with a TypeError
     @pytest.mark.parametrize(
         "kwargs",
-        [{"m": 0}, {"h": 0}, {"slimit": 0}, {"hlimit": -1}, {"seed": -5}],
+        [{"m": 0}, {"h": 0}, {"slimit": 0}, {"hlimit": -1}, {"seed": -5},
+         {"m": 2.0}, {"h": np.float64(3.0)}, {"slimit": 2.5}, {"hlimit": 1.5},
+         {"hlimit": np.int64(-1)}],
     )
     def test_parameter_validation(self, kwargs):
         ds = random_dataset(np.random.default_rng(3), 8, 8)
-        with pytest.raises(ConfigurationError):
+        (value,) = kwargs.values()
+        with pytest.raises(ConfigurationError, match=re.escape(f"got {value!r}")):
             fit(ds, **kwargs)
 
     # operator.index decides; truncating would let 1.5 score exactly as 1
-    @pytest.mark.parametrize("seed", [1.5, np.float64(2.7), 2.0, "3", None])
+    @pytest.mark.parametrize(
+        "seed", [1.5, np.float64(2.7), 2.0, "3", None, np.float64(3.0), np.int8(-1)]
+    )
     def test_seed_that_is_not_an_integer_rejected(self, seed):
         ds = random_dataset(np.random.default_rng(3), 8, 8)
         with pytest.raises(ConfigurationError, match=re.escape(f"got {seed!r}")):

@@ -1,16 +1,19 @@
 """Every module-level import of the package, the tests and the benchmark
-scripts is used, and every name a package module exports is bound.
+scripts is used, every name a package module exports is bound, and every
+module-level function and class of the package is named somewhere else.
 
 No linter runs on this repository, so this catches what a deletion most
-often leaves behind: an import that nothing reads, or an ``__all__`` entry
-for a name that is gone.  ``dlde/__init__.py`` is exempt from the first
-check, as it exists to bind names.  The modules are parsed, not imported:
-importing ``dlde.__main__`` runs the CLI.
+often leaves behind: an import that nothing reads, an ``__all__`` entry
+for a name that is gone, or a helper that nothing calls any more.
+``dlde/__init__.py`` is exempt from the first check, as it exists to bind
+names.  The modules are parsed, not imported: importing ``dlde.__main__``
+runs the CLI.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +68,22 @@ def test_exported_names_are_bound():
     paths = sorted(ROOT.glob("src/dlde/*.py"))
     unbound = {str(p.relative_to(ROOT)): names for p in paths if (names := _unbound_exports(p))}
     assert unbound == {}
+
+
+def test_package_definitions_are_named_elsewhere():
+    # a text match, so that a name in a string counts, as the hooks that
+    # benchmarks/tracing.py names in INSTRUMENTS do
+    paths = sorted([*ROOT.glob("src/dlde/*.py"), *ROOT.glob("tests/*.py"),
+                    *ROOT.glob("benchmarks/*.py")])
+    lines = {p: p.read_text(encoding="utf-8").splitlines() for p in paths}
+    orphans = []
+    for path in sorted(ROOT.glob("src/dlde/*.py")):
+        for node in ast.parse("\n".join(lines[path])).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno - 1, node.end_lineno)
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for p in paths for i, line in enumerate(lines[p])
+                       if not (p == path and i in own)):
+                orphans.append(f"{path.relative_to(ROOT)}: {node.name}")
+    assert orphans == []

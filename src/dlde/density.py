@@ -13,17 +13,19 @@ key (see :func:`dlde.hashing.check_dataset`).  Keys never decrease as the
 value grows, so in a leaf's sorted values one key tuple is one run, a
 *cell*, and one key of one function a run of cells.
 
-:func:`leaf_point_densities` first finds where each function's key
-changes in the sorted values.  Where a leaf spans few keys, it hashes only
-the two extremes and searches for each key boundary between them, proving
-each position with the key formula.  The spread of the values bounds the
-number of key boundaries from below, so a leaf whose spread alone shows
-too many skips the search before it hashes anything.  Otherwise, or when
-a proof fails, it hashes every value, in blocks of functions that fit
-``_BLOCK`` elements.  Both give the same positions.  It then reads a
-key's count as a difference of cumulative cell counts, again in blocks
-of functions that fit ``_BLOCK``.  The sums are exact integers, so
-neither the path nor the blocks change a bit.
+:func:`leaf_point_densities` reads a leaf's functions as the two fields
+of its :data:`~dlde.hashing.HASH_FN` row, (h, 1) columns of offsets and
+widths that hash values under all h at once.  It first finds where each
+function's key changes in the sorted values.  Where a leaf spans few
+keys, it hashes only the two extremes and searches for each key boundary
+between them, proving each position with the key formula.  The spread of
+the values bounds the number of key boundaries from below, so a leaf
+whose spread alone shows too many skips the search before it hashes
+anything.  Otherwise, or when a proof fails, it hashes every value, in
+blocks of functions that fit ``_BLOCK`` elements.  Both give the same
+positions.  It then reads a key's count as a difference of cumulative
+cell counts, again in blocks of functions that fit ``_BLOCK``.  The sums
+are exact integers, so neither the path nor the blocks change a bit.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
         x[k, segment.start - 1 + i] at its own time index.
     """
     n, length = x.shape[0], tables.segment.length
-    offsets, widths = tables.params
+    offsets, widths = tables.fns["offset"][:, None], tables.fns["width"][:, None]
     h = len(offsets)
     values = x[:, tables.segment.columns].T.ravel()  # time-major: value p is in column p // n
     order = values.argsort()
@@ -66,7 +68,7 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
 
     # changes[j, p]: function j's key differs between sorted values p - 1
     # and p, and is true at both ends; cells end wherever any key changes.
-    changes = _boundary_changes(ordered, offsets, widths, tables.reach)
+    changes = _boundary_changes(ordered, offsets, widths)
     if changes is None:  # hash every sorted value
         changes = np.ones((h, ordered.size + 1), dtype=bool)
         g = max(1, _BLOCK // ordered.size)
@@ -105,7 +107,7 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
 
 
 def _boundary_changes(
-    ordered: np.ndarray, offsets: np.ndarray, widths: np.ndarray, reach: float
+    ordered: np.ndarray, offsets: np.ndarray, widths: np.ndarray
 ) -> np.ndarray | None:
     """The key changes of :func:`leaf_point_densities`, found from the keys
     of the two extremes and the key boundaries between them, or ``None``
@@ -113,9 +115,11 @@ def _boundary_changes(
     key reaches ``_EXACT_KEYS``, or one position is not proven.
 
     Before it hashes anything, the spread of the values bounds the
-    boundaries from below, through ``reach`` = sum of 1 / w_j.  Where that
-    bound alone is over the share, the extremes' keys would be too, so the
-    search is skipped and the path, never a bit, is what this decides.
+    boundaries from below, through ``reach`` = sum of 1 / w_j, the key
+    boundaries one unit of spread crosses over all h (``offsets`` and
+    ``widths`` are (h, 1) columns).  Where that bound alone is over the
+    share, the extremes' keys would be too, so the search is skipped and
+    the path, never a bit, is what this decides.
 
     Function j's key first reaches k, for each k in (lo_j, hi_j], at about
     the first value at or above k * w_j - o_j.  The key formula on that
@@ -127,6 +131,7 @@ def _boundary_changes(
     # roundings.  The slack covers both, and one boundary more, so that a
     # key that rounds down on a bucket edge cannot tip the decision.
     h, low, high = len(offsets), float(ordered[0]), float(ordered[-1])
+    reach = float((1.0 / widths).sum())
     slack = 1.0 + (h + 8) * 2.0**-52 * ((abs(low) + abs(high)) * reach + 2 * h)
     if (high - low) * reach - h - slack > _BOUNDARY_SHARE * ordered.size:
         return None

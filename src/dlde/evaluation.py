@@ -53,7 +53,8 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
     n_norm = int((y == 0).sum())
     if n_anom == 0 or n_norm == 0:
         raise MetricError(
-            f"AUC undefined: need both classes, got {n_anom} anomalies and {n_norm} normals"
+            f"AUC undefined: need both classes, not a single class; "
+            f"got {n_anom} anomalies and {n_norm} normals"
         )
     # Average rank of each value (ties share the mean of their rank block).
     _, inverse, tie_counts = np.unique(s, return_inverse=True, return_counts=True)
@@ -108,7 +109,8 @@ def run_experiment(config: ExperimentConfig, dataset: LabeledDataset) -> Experim
 
     Raises:
         ConfigurationError: ``repeats`` not an integer >= 1, or unusable parameters.
-        MetricError: labels are single-class.
+        MetricError: labels are single-class, found by the first run's
+            :func:`auc`, after its fit has admitted the parameters.
     """
     return _runs(config, [config.m], dataset)[0]
 
@@ -124,9 +126,6 @@ def _runs(
     """
     repeats = require_int(config.repeats, 1, "repeats")
     labels = dataset.labels
-    if len(set(labels.tolist())) < 2:
-        raise MetricError("dataset labels contain a single class; AUC undefined")
-
     aucs: dict[int, list[float]] = {m: [] for m in ms}
     seconds: dict[int, list[float]] = {m: [] for m in ms}
     seeds: list[int] = []

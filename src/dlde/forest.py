@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .density import row_densities
 from .errors import require_int
-from .hashing import HashFn, LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
+from .hashing import LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
 from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, spawn_uniforms
 from .tstree import Segment, TSTree, build_tstree
 
@@ -116,15 +116,11 @@ def fit(
     ordinals = np.concatenate([np.arange(len(tree.segments)) for tree in trees])
     tree_ids = np.repeat(np.arange(m), [len(tree.segments) for tree in trees])
     keys = np.column_stack((np.full_like(ordinals, HASH_STREAM), tree_ids, ordinals))
-    widths, offsets = sample_hash_fn(dataset.n, spawn_uniforms(seed, keys, 2 * h))
-    fns = tuple(map(HashFn._make, zip(widths.ravel().tolist(), offsets.ravel().tolist())))
-    # each leaf's (2, h, 1) offsets and widths, and its sum of 1 / width
-    params = np.stack((offsets, widths), 1)[..., None]
-    params.setflags(write=False)
-    leaves = zip(range(0, len(fns), h), params, (1 / widths).sum(axis=1).tolist())
+    # one (h,) row view per leaf of the read-only (leaves, h) table
+    rows = iter(sample_hash_fn(dataset.n, spawn_uniforms(seed, keys, 2 * h)))
     models = tuple(
-        TreeModel(tree, {s: build_leaf_tables(dataset, s, fns[k:k + h], params=p, reach=r)
-                         for s, (k, p, r) in zip(tree.segments, leaves)})
+        TreeModel(tree, {s: build_leaf_tables(dataset, s, fns)
+                         for s, fns in zip(tree.segments, rows)})
         for tree in trees
     )
 

@@ -10,17 +10,17 @@ whether every key under every width the range allows fits; so what a fit
 accepts depends on neither its seed nor its number of trees.
 
 A leaf segment of a tree keeps only its ``h`` independently sampled
-bucketing functions, both as :class:`HashFn` named tuples and as the
-arrays the density kernel reads.  The counts they induce (how many
-subsequences put each bucket key at each time column) are built where
-densities are read, from the matrix being scored (see :mod:`dlde.density`).
+bucketing functions: one read-only (h,) row of :data:`HASH_FN` records,
+a view of the one array that :func:`dlde.forest.fit` draws for every leaf
+at once.  The counts they induce (how many subsequences put each bucket
+key at each time column) are built where densities are read, from the
+matrix being scored (see :mod:`dlde.density`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import ConfigurationError
 from .tstree import Segment
 
 __all__ = [
-    "HashFn",
+    "HASH_FN",
     "LeafTables",
     "check_dataset",
     "sample_hash_fn",
@@ -37,14 +37,10 @@ __all__ = [
 ]
 
 
-class HashFn(NamedTuple):
-    """One bucketing function: key = floor((value + offset) / width).
-
-    A named tuple, so it also equals the plain tuple ``(width, offset)``.
-    """
-
-    width: float
-    offset: float
+# One bucketing function, key = floor((value + offset) / width).  The kernel
+# reads a row's fields whole, fns["offset"]; np.record lets each element of
+# a row read fn.offset too, which a plain structured dtype does not.
+HASH_FN = np.dtype((np.record, [("width", np.float64), ("offset", np.float64)]))
 
 
 def _width_floor(n: int) -> float:
@@ -77,10 +73,10 @@ def check_dataset(n: int, peak: float) -> None:
         )
 
 
-def sample_hash_fn(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Widths and offsets, each (..., h), of the bucketing functions that a
-    (..., 2h) block ``u`` of uniforms on [0, 1) gives for a dataset of ``n``
-    subsequences.
+def sample_hash_fn(n: int, u: np.ndarray) -> np.ndarray:
+    """The read-only (..., h) :data:`HASH_FN` array of the bucketing
+    functions that a (..., 2h) block ``u`` of uniforms on [0, 1) gives for
+    a dataset of ``n`` subsequences.
 
     Each width is uniform on [1/log2(n), 1 - 1/log2(n)] and each offset
     uniform on [0, width], taken with ``rng.uniform``'s arithmetic: a row
@@ -89,9 +85,11 @@ def sample_hash_fn(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     must have passed :func:`check_dataset`.
     """
     lo = _width_floor(n)
-    widths = lo + ((1.0 - lo) - lo) * u[..., 0::2]
-    offsets = 0.0 + widths * u[..., 1::2]
-    return widths, offsets
+    fns = np.empty(u.shape[:-1] + (u.shape[-1] // 2,), HASH_FN)
+    fns["width"] = lo + ((1.0 - lo) - lo) * u[..., 0::2]
+    fns["offset"] = 0.0 + fns["width"] * u[..., 1::2]
+    fns.setflags(write=False)
+    return fns
 
 
 def bucket_keys(values: np.ndarray, offset, width) -> np.ndarray:
@@ -104,46 +102,19 @@ def bucket_keys(values: np.ndarray, offset, width) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LeafTables:
-    """A leaf segment and the bucketing functions its counts are taken under.
-
-    ``params`` holds the functions' offsets, then their widths, as a
-    read-only (2, h, 1) array that hashes a row of values under all h at
-    once; ``reach`` is the sum of 1 / width, the key boundaries that one
-    unit of spread crosses over all h functions.  :func:`dlde.forest.fit`
-    passes both as views of its arrays; otherwise both are derived from
-    ``fns``, with the same bits.
-    """
+    """A leaf segment and the (h,) :data:`HASH_FN` row of the bucketing
+    functions its counts are taken under."""
 
     segment: Segment
-    fns: tuple[HashFn, ...]
-    params: np.ndarray | None = None
-    reach: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.params is None:
-            params = np.array([[fn.offset for fn in self.fns], [fn.width for fn in self.fns]])
-            params.setflags(write=False)
-            object.__setattr__(self, "params", params[..., None])
-        if self.reach is None:
-            object.__setattr__(self, "reach", float((1.0 / self.params[1, :, 0]).sum()))
+    fns: np.ndarray
 
 
-def build_leaf_tables(
-    dataset: LabeledDataset,
-    segment: Segment,
-    fns: tuple[HashFn, ...] | list[HashFn],
-    *,
-    params: np.ndarray | None = None,
-    reach: float | None = None,
-) -> LeafTables:
-    """The leaf of ``dataset`` over ``segment``, under the functions ``fns``.
-
-    ``params`` and ``reach``, when given, must hold the bits that
-    :class:`LeafTables` derives from ``fns``; ``fit`` passes views of the
-    arrays it drew ``fns`` from, so that no leaf rebuilds them.
+def build_leaf_tables(dataset: LabeledDataset, segment: Segment, fns: np.ndarray) -> LeafTables:
+    """The leaf of ``dataset`` over ``segment``, under the :data:`HASH_FN`
+    row ``fns``, taken as it is: ``fit`` passes a read-only row view.
 
     Unchecked: :func:`check_dataset` has already admitted ``dataset``, so
     the leaf needs no check of its own.  ``dataset`` is unused; the call
     keeps it for the trace hooks of ``benchmarks/``, which read the block.
     """
-    return LeafTables(segment, tuple(fns), params, reach)
+    return LeafTables(segment, fns)

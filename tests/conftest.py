@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from dlde import LabeledDataset
-from dlde.hashing import HashFn, bucket_keys, sample_hash_fn
+from dlde.hashing import HASH_FN, bucket_keys, sample_hash_fn
 
 # a few dozen examples per property; fits vary too much in time for a deadline
 settings.register_profile("dlde", max_examples=40, deadline=None)
@@ -42,14 +42,20 @@ def write_labeled_file(
             fh.write(delimiter.join(fields) + "\n")
 
 
-def draw_fns(n: int, rng: np.random.Generator, h: int) -> tuple[HashFn, ...]:
+def draw_fns(n: int, rng: np.random.Generator, h: int) -> np.ndarray:
     """``h`` bucketing functions for ``n`` subsequences, from one block of
-    ``2 * h`` uniforms of ``rng``."""
-    widths, offsets = sample_hash_fn(n, rng.random(2 * h))
-    return tuple(map(HashFn, widths.tolist(), offsets.tolist()))
+    ``2 * h`` uniforms of ``rng``, as a read-only (h,) ``HASH_FN`` row."""
+    return sample_hash_fn(n, rng.random(2 * h))
 
 
-def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
+def hash_fns(*pairs: tuple[float, float]) -> np.ndarray:
+    """The functions ``(width, offset)`` given, as a read-only ``HASH_FN`` row."""
+    fns = np.array(list(pairs), dtype=HASH_FN)
+    fns.setflags(write=False)
+    return fns
+
+
+def hash_keys(fn: np.record, values: np.ndarray) -> np.ndarray:
     """Bucket key ``floor((value + offset) / width)`` of every value, as int64.
 
     Exact: the float64 floor of every key in [-2**63, 2**63) fits int64
@@ -69,13 +75,14 @@ def hash_keys(fn: HashFn, values: np.ndarray) -> np.ndarray:
 def tree_model_state(model) -> tuple:
     """Everything a fitted tree holds, as a value that compares exactly.
 
-    Segments, depths, and per leaf its segment and hash functions.
+    Segments, depths, and per leaf its segment and the bytes of its hash
+    functions, which tell -0.0 from 0.0.
     """
     return (
         model.tree.segments,
         model.tree.depths,
         tuple(
-            (segment, tables.segment, tables.fns)
+            (segment, tables.segment, tables.fns.tobytes())
             for segment, tables in model.leaf_tables.items()
         ),
     )

@@ -424,6 +424,17 @@ class TestEvaluate:
         assert code == EXIT_METRIC
         assert not out.exists()
 
+    # a bad parameter is a configuration error, whatever the labels
+    @pytest.mark.parametrize("trees, code", [("0", EXIT_CONFIG), ("3", EXIT_METRIC)])
+    def test_single_class_checks_parameters_first(self, tmp_path, capsys, trees, code):
+        data = _write_dataset(tmp_path, anomalies=0)
+        out = tmp_path / "report.csv"
+        argv = ["evaluate", "--input", str(data), "--anomaly-class", "1", "--trees", trees,
+                "--repeats", "2", "--output", str(out)]
+        assert main(argv) == code
+        assert not out.exists()
+        assert ("tree count" if code == EXIT_CONFIG else "single class") in capsys.readouterr().err
+
     def test_missing_input_exits_io(self, tmp_path):
         out = tmp_path / "report.csv"
         code = main(

@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 import dlde
 from dlde import LabeledDataset, fit, score
 from dlde.density import leaf_point_densities, row_densities
-from dlde.hashing import HashFn, LeafTables, build_leaf_tables
+from dlde.hashing import LeafTables, build_leaf_tables
 from dlde.tstree import Segment, TSTree, build_tstree, leaves
 
-from conftest import draw_fns, hash_keys, matrices
+from conftest import draw_fns, hash_fns, hash_keys, matrices
 from reference import hash_value, tree_point_densities
 
-hash_fns = st.builds(lambda w, f: HashFn(w, w * f), st.floats(0.05, 0.95), st.floats(0.0, 1.0))
+# rows of one to four functions (width, width * f)
+fn_rows = st.lists(
+    st.builds(lambda w, f: (w, w * f), st.floats(0.05, 0.95), st.floats(0.0, 1.0)),
+    min_size=1, max_size=4,
+).map(lambda pairs: hash_fns(*pairs))
 
 
 def _identical_rows(n: int, d: int) -> LabeledDataset:
@@ -108,13 +112,13 @@ class TestSimilarTimePoints:
     def test_constant_data_full_segment(self):
         # one key in every column: each point is similar to the whole segment
         ds = LabeledDataset(np.full((6, 5), 0.4), np.zeros(6, int))
-        tables = build_leaf_tables(ds, Segment(2, 4), [HashFn(0.5, 0.1)])
+        tables = build_leaf_tables(ds, Segment(2, 4), hash_fns((0.5, 0.1)))
         np.testing.assert_array_equal(leaf_point_densities(ds.subsequences, tables), 6.0)
 
     def test_hand_enumerated_example(self):
         # keys at t=1 are {0: 1, 1: 2}, at t=2 {2: 3}; 0.6 and 0.7 hash to 1,
         # present at t=1 only, so they are similar to t=1 alone
-        tables = build_leaf_tables(HAND_DATASET, Segment(1, 2), [HashFn(0.5, 0.0)])
+        tables = build_leaf_tables(HAND_DATASET, Segment(1, 2), hash_fns((0.5, 0.0)))
         got = leaf_point_densities(HAND_DATASET.subsequences, tables)
         assert got.tolist() == [[1.0, 3.0], [2.0, 3.0], [2.0, 3.0]]
 
@@ -135,9 +139,9 @@ class TestTrueSimilarSet:
         # point's key occurs, counted from the keys directly
         rng = np.random.default_rng(3)
         ds = LabeledDataset(np.round(rng.normal(size=(10, 8)), 1), np.zeros(10, int))
-        fn = HashFn(0.4, 0.1)
-        tables = build_leaf_tables(ds, Segment(2, 7), [fn])
-        keys = hash_keys(fn, ds.subsequences[:, 1:7])
+        fns = hash_fns((0.4, 0.1))
+        tables = build_leaf_tables(ds, Segment(2, 7), fns)
+        keys = hash_keys(fns[0], ds.subsequences[:, 1:7])
         got = leaf_point_densities(ds.subsequences, tables)
         for (k, i), key in np.ndenumerate(keys):
             counts = (keys == key).sum(axis=0)
@@ -151,7 +155,7 @@ class TestTrueSimilarSet:
         rng = np.random.default_rng(seed)
         n, d, h = 10, 8, 3
         ds = LabeledDataset(rng.normal(size=(n, d)), np.zeros(n, int))
-        fns = [HashFn(float(w), float(w) / 2) for w in rng.uniform(0.2, 0.8, size=h)]
+        fns = hash_fns(*[(float(w), float(w) / 2) for w in rng.uniform(0.2, 0.8, size=h)])
         tables = build_leaf_tables(ds, Segment(2, 7), fns)
         assert leaf_point_densities(ds.subsequences, tables).min() >= h
 
@@ -159,19 +163,19 @@ class TestTrueSimilarSet:
 class TestPointDensity:
     def test_identical_rows_single_hash(self):
         ds = _identical_rows(9, 6)
-        tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
+        tree, tables = _single_leaf_model(ds, hash_fns((0.5, 0.1)))
         np.testing.assert_array_equal(_point_densities(ds.subsequences, tree, tables), 9.0)
 
     def test_identical_rows_sums_over_hashes(self):
         ds = _identical_rows(9, 6)
-        tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)] * 4)
+        tree, tables = _single_leaf_model(ds, hash_fns(*[(0.5, 0.1)] * 4))
         np.testing.assert_array_equal(
             _point_densities(ds.subsequences, tree, tables), 4 * 9.0
         )
 
     def test_single_row_dataset(self):
         ds = LabeledDataset([[0.1, 0.2, 0.3, 0.4]], [0])
-        tree, tables = _single_leaf_model(ds, [HashFn(0.5, 0.0), HashFn(0.3, 0.1)])
+        tree, tables = _single_leaf_model(ds, hash_fns((0.5, 0.0), (0.3, 0.1)))
         np.testing.assert_array_equal(_point_densities(ds.subsequences, tree, tables), 2.0)
 
     @staticmethod
@@ -201,7 +205,7 @@ class TestPointDensity:
         with pytest.raises(ValueError, match="fitted on"):
             score(forest, LabeledDataset(x, ds.labels))
 
-    @given(x=matrices(min_rows=1), fns=st.lists(hash_fns, min_size=1, max_size=4), data=st.data())
+    @given(x=matrices(min_rows=1), fns=fn_rows, data=st.data())
     def test_duplicating_a_row_never_lowers_its_density(self, x, fns, data):
         # a copy of row k adds no key to any column, so no similarity set
         # changes, while row k's counts can only grow
@@ -226,7 +230,7 @@ class TestPointDensity:
         x = np.tile(np.linspace(0.0, 0.5, d), (n, 1))
         x[4] += 10.0
         ds = LabeledDataset(x, np.zeros(n, int))
-        fns = [HashFn(0.5, 0.1), HashFn(0.3, 0.0)]
+        fns = hash_fns((0.5, 0.1), (0.3, 0.0))
         _, tables = _single_leaf_model(ds, fns)
         densities = row_densities(x, tables.values())
         assert densities[4] == len(fns) * 1.0
@@ -237,7 +241,7 @@ class TestPointDensity:
 class TestSubsequenceDensity:
     def test_identical_rows(self):
         ds = _identical_rows(7, 5)
-        _, tables = _single_leaf_model(ds, [HashFn(0.5, 0.1)])
+        _, tables = _single_leaf_model(ds, hash_fns((0.5, 0.1)))
         np.testing.assert_array_equal(row_densities(ds.subsequences, tables.values()), 7.0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -249,7 +253,7 @@ class TestSubsequenceDensity:
 
 
 # Offset 0, offset equal to the width, and one in between.
-EDGE_FNS = (HashFn(0.3, 0.1), HashFn(0.25, 0.0), HashFn(0.7, 0.7))
+EDGE_FNS = hash_fns((0.3, 0.1), (0.25, 0.0), (0.7, 0.7))
 
 
 def _on_bucket_edges():
@@ -300,7 +304,7 @@ class TestOracleEquivalence:
         segment = Segment(1, x.shape[1])
         tree = TSTree((segment,), (0,))
         expected = tree_point_densities(x.tolist(), tree, {segment: fns})
-        got = leaf_point_densities(x, LeafTables(segment, tuple(fns)))
+        got = leaf_point_densities(x, LeafTables(segment, fns))
         np.testing.assert_array_equal(got, np.array(expected))
 
     @pytest.mark.parametrize("seed", range(12))
@@ -444,12 +448,12 @@ class TestOracleEquivalence:
 
 
 @st.composite
-def boundary_leaves(draw) -> tuple[np.ndarray, list[HashFn]]:
+def boundary_leaves(draw) -> tuple[np.ndarray, np.ndarray]:
     """A leaf's (N, L) values and functions, placed where finding key
     boundaries by search could go wrong: on a function's bucket edges
     k * w - o and one float either side, in ties, in one bucket of every
     function, and at keys near 2**52."""
-    fns = draw(st.lists(hash_fns, min_size=1, max_size=4))
+    fns = draw(fn_rows)
     first = fns[0]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 6)))
@@ -462,7 +466,7 @@ def boundary_leaves(draw) -> tuple[np.ndarray, list[HashFn]]:
         base = draw(st.sampled_from([0.0, -3.7, 1e3]))
         values = base + draw(st.sampled_from([0.0, 1e-12, 0.1, 1.0, 10.0])) * rng.normal(size=shape)
     if draw(st.booleans()):
-        fn = draw(st.sampled_from(fns))
+        fn = fns[draw(st.integers(0, len(fns) - 1))]
         edges = np.floor((values + fn.offset) / fn.width) * fn.width - fn.offset
         values = np.where(rng.random(shape) < 0.7, edges, values)
         step = rng.integers(-1, 2, size=shape)
@@ -474,12 +478,12 @@ def boundary_leaves(draw) -> tuple[np.ndarray, list[HashFn]]:
 
 
 @st.composite
-def spread_leaves(draw) -> tuple[np.ndarray, list[HashFn]]:
+def spread_leaves(draw) -> tuple[np.ndarray, np.ndarray]:
     """A leaf's (N, L) values and functions, spread over up to 40 buckets
     of one function, each value on one of its bucket edges k * w - o, one
     float either side, or inside the bucket."""
-    fns = draw(st.lists(hash_fns, min_size=1, max_size=4))
-    fn = draw(st.sampled_from(fns))
+    fns = draw(fn_rows)
+    fn = fns[draw(st.integers(0, len(fns) - 1))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 6)))
     edges = rng.integers(-20, 21, size=shape) * fn.width - fn.offset
@@ -516,7 +520,7 @@ class TestBoundaryHashing:
     @given(leaf=boundary_leaves())
     def test_matches_full_hash(self, leaf):
         x, fns = leaf
-        tables = LeafTables(Segment(1, x.shape[1]), tuple(fns))
+        tables = LeafTables(Segment(1, x.shape[1]), fns)
         got = {}
         # a value one float from the edge 0 is subnormal, and its key's
         # division underflows on every path; nothing else may warn
@@ -539,7 +543,7 @@ class TestBoundaryHashing:
         x, fns = leaf
         low, high = float(x.min()), float(x.max())
         spans = sum(hash_value(fn, high) - hash_value(fn, low) for fn in fns)
-        tables = LeafTables(Segment(1, x.shape[1]), tuple(fns))
+        tables = LeafTables(Segment(1, x.shape[1]), fns)
         with np.errstate(all="raise", under="ignore"), pytest.MonkeyPatch.context() as mp:
             mp.setattr(dlde.density, "_BOUNDARY_SHARE", spans / x.size)
             calls = _spy_bucket_keys(mp)
@@ -551,27 +555,27 @@ class TestBoundaryHashing:
 
     # (values, functions, the path taken); each column of values is one leaf
     # column.  Under width 0.5 and offset 0 the key is 2v.
-    HALF = HashFn(0.5, 0.0)
+    HALF = hash_fns((0.5, 0.0))
     PATHS = {
         "all_equal": (np.full((6, 5), 0.4), EDGE_FNS, "search"),
         "one_key_each": (0.4 + 1e-9 * np.arange(12.0).reshape(4, 3), EDGE_FNS, "search"),
         # 16 values of two keys each: 1 or 2 boundaries, within 1/8 of them
-        "keys_below_2**52": (_two_values(2.0**51 - 1, 2.0**51 - 2), (HALF,), "search"),
-        "keys_at_2**52": (_two_values(2.0**51, 2.0**51 - 1), (HALF,), "gave_up"),
-        "keys_above_-2**52": (_two_values(-(2.0**51) + 1, -(2.0**51) + 0.5), (HALF,), "search"),
-        "keys_at_-2**52": (_two_values(-(2.0**51), -(2.0**51) + 1), (HALF,), "gave_up"),
+        "keys_below_2**52": (_two_values(2.0**51 - 1, 2.0**51 - 2), HALF, "search"),
+        "keys_at_2**52": (_two_values(2.0**51, 2.0**51 - 1), HALF, "gave_up"),
+        "keys_above_-2**52": (_two_values(-(2.0**51) + 1, -(2.0**51) + 0.5), HALF, "search"),
+        "keys_at_-2**52": (_two_values(-(2.0**51), -(2.0**51) + 1), HALF, "gave_up"),
         # 16 values: 2 boundaries are within 1/8 of them, 3 are not
-        "share_met": (_two_values(0.0, 1.0), (HALF,), "search"),
-        "share_exceeded": (_two_values(0.0, 1.5), (HALF,), "gave_up"),
+        "share_met": (_two_values(0.0, 1.0), HALF, "search"),
+        "share_exceeded": (_two_values(0.0, 1.5), HALF, "gave_up"),
         # a spread of s crosses more than 2s - 1 boundaries: less a slack of
         # one, that bound alone is over 2 at s = 2.5, and not at s = 2
-        "spread_over_share": (_two_values(0.0, 2.5), (HALF,), "skipped"),
-        "spread_within_slack": (_two_values(0.0, 2.0), (HALF,), "gave_up"),
+        "spread_over_share": (_two_values(0.0, 2.5), HALF, "skipped"),
+        "spread_within_slack": (_two_values(0.0, 2.0), HALF, "gave_up"),
         # on the edges of keys -11 and -2 under width and offset 0.1, the
         # upper key rounds down to -3: 8 boundaries, which 64 values allow.
         # The spread bound reads 8 and an ulp; its slack keeps the search.
         "edge_key_rounds_down": (
-            _two_values(-11 * 0.1 - 0.1, -2 * 0.1 - 0.1, 32), (HashFn(0.1, 0.1),), "search"
+            _two_values(-11 * 0.1 - 0.1, -2 * 0.1 - 0.1, 32), hash_fns((0.1, 0.1)), "search"
         ),
     }
 
@@ -581,7 +585,7 @@ class TestBoundaryHashing:
         segment = Segment(1, x.shape[1])
         calls = _spy_bucket_keys(monkeypatch)
         with np.errstate(all="raise"):
-            got = leaf_point_densities(x, LeafTables(segment, tuple(fns)))
+            got = leaf_point_densities(x, LeafTables(segment, fns))
         assert _path(calls, x.size) == path
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         np.testing.assert_array_equal(got, np.array(expected))

@@ -123,6 +123,12 @@ class TestRunExperiment:
         with pytest.raises(MetricError, match="single class"):
             run_experiment(_config(), dataset=ds)
 
+    # the parameters are admitted before the labels: fit refuses m first
+    def test_parameters_checked_before_labels(self):
+        ds = random_dataset(np.random.default_rng(7), 12, 8, anomalies=0)
+        with pytest.raises(ConfigurationError, match=re.escape("got 2.5")):
+            run_experiment(ExperimentConfig(m=2.5), dataset=ds)
+
 
 class TestSweep:
     def test_single_value_matches_run_experiment(self):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -16,10 +15,10 @@ import dlde.hashing
 from dlde import ConfigurationError, LabeledDataset, fit, score
 from dlde.density import leaf_point_densities
 from dlde.forest import _tree_sums, anomaly_scores
-from dlde.hashing import HashFn, LeafTables, bucket_keys
+from dlde.hashing import HASH_FN, bucket_keys, sample_hash_fn
 from dlde.tstree import Segment, leaves
 
-from conftest import hash_keys, matrices, random_dataset, tree_model_state
+from conftest import hash_fns, hash_keys, matrices, random_dataset, tree_model_state
 from reference import hash_value, leaf_hash_fns, tree_point_densities
 
 
@@ -51,7 +50,7 @@ class TestFit:
                 covered += range(16)[segment.columns]
             assert covered == list(range(16))
 
-    # the ranges Segment and HashFn do not check, on the model fit returns
+    # the ranges Segment and HASH_FN do not check, on the model fit returns
     @pytest.mark.parametrize("n", [5, 16, 200])
     @pytest.mark.parametrize("seed", range(8))
     def test_fitted_segments_widths_and_offsets_in_range(self, n, seed):
@@ -221,33 +220,22 @@ class TestFit:
                 got = [(fn.width.hex(), fn.offset.hex()) for fn in model.leaf_tables[segment].fns]
                 assert got == [(w.hex(), x.hex()) for w, x in leaf_hash_fns(seed, i, o, ds.n, h)]
 
-    # fit hands each leaf views of the arrays it drew the functions from;
-    # they hold the bits that LeafTables derives from the functions alone
+    # fit draws every leaf's functions as one read-only (leaves, h) HASH_FN
+    # table, and each leaf holds a row view of it, in tree then leaf order
     @pytest.mark.parametrize("h", [1, 10])
-    @pytest.mark.parametrize("n, d, seed", [(9, 16, 0), (40, 30, 1), (200, 12, 2)])
-    def test_leaf_arrays_match_functions(self, n, d, h, seed):
-        forest = fit(random_dataset(np.random.default_rng(seed), n, d), m=3, h=h, seed=seed)
-        for model in forest.trees:
-            for segment, tables in model.leaf_tables.items():
-                derived = LeafTables(segment, tables.fns)
-                assert tables.params.shape == derived.params.shape == (2, h, 1)
-                assert not (tables.params.flags.owndata or tables.params.flags.writeable)
-                assert tables.params.tobytes() == derived.params.tobytes()
-                assert np.float64(tables.reach).tobytes() == np.float64(derived.reach).tobytes()
-
-    def test_scoring_reads_no_hash_fn(self):
-        # the kernel reads a leaf's arrays alone: functions that have no
-        # width and no offset score the same bytes
-        ds = random_dataset(np.random.default_rng(5), 30, 20, anomalies=3)
-        forest = fit(ds, m=3, h=10, seed=5)
-        blank = replace(forest, trees=tuple(
-            replace(model, leaf_tables={
-                s: LeafTables(s, tuple(object() for _ in t.fns), t.params, t.reach)
-                for s, t in model.leaf_tables.items()
-            })
-            for model in forest.trees
-        ))
-        assert score(blank, ds).scores.tobytes() == score(forest, ds).scores.tobytes()
+    def test_leaves_hold_rows_of_one_read_only_table(self, h):
+        forest = fit(random_dataset(np.random.default_rng(h), 30, 24), m=3, h=h, seed=h)
+        rows = [model.leaf_tables[s].fns for model in forest.trees for s in model.tree.segments]
+        table = rows[0].base
+        assert table.shape == (len(rows), h) and not table.flags.writeable
+        for k, fns in enumerate(rows):
+            assert fns.dtype == HASH_FN and fns.shape == (h,)
+            assert fns.base is table and not fns.flags.writeable
+            assert fns.tobytes() == table[k].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            rows[-1]["width"][0] = 0.5
+        drawn = sample_hash_fn(30, np.random.default_rng(h).random((2, 2 * h)))
+        assert drawn.dtype == HASH_FN and not drawn.flags.writeable
 
 
 def _scaled_8x8(peak: float) -> LabeledDataset:
@@ -285,7 +273,7 @@ class TestKeyRange:
         # a width of exactly lo is the narrowest a draw can give (u = 0)
         lo = 1.0 / math.log2(8)
         for offset in (0.0, lo / 2, lo):
-            fn = HashFn(lo, offset)
+            fn = hash_fns((lo, offset))[0]
             assert hash_keys(fn, x).tolist() == [[hash_value(fn, v) for v in row] for row in x.tolist()]
         model = fit(ds, m=1, h=3, seed=0).trees[0]
         got = np.concatenate(

@@ -8,28 +8,28 @@ import pytest
 import dlde.forest
 from dlde import ConfigurationError, LabeledDataset, fit
 from dlde.density import leaf_point_densities
-from dlde.hashing import HashFn, build_leaf_tables, check_dataset, sample_hash_fn
+from dlde.hashing import build_leaf_tables, check_dataset, sample_hash_fn
 from dlde.seeding import HASH_STREAM, spawn_rng
 from dlde.tstree import Segment
 
-from conftest import draw_fns, hash_keys, random_dataset
+from conftest import draw_fns, hash_fns, hash_keys, random_dataset
 from reference import hash_value
 
 
 class TestSampleHashFn:
     def test_width_range_n16(self):
-        widths, _ = sample_hash_fn(16, np.random.default_rng(0).random(1000))
+        widths = sample_hash_fn(16, np.random.default_rng(0).random(1000))["width"]
         assert widths.min() >= 0.25 and widths.max() <= 0.75
 
     def test_width_range_n5(self):
         lo = 1.0 / math.log2(5)
         assert lo == pytest.approx(0.430676558, abs=1e-9)
-        widths, _ = sample_hash_fn(5, np.random.default_rng(1).random(400))
+        widths = sample_hash_fn(5, np.random.default_rng(1).random(400))["width"]
         assert np.all((lo <= widths) & (widths <= 1.0 - lo))
 
     def test_offset_within_width(self):
-        widths, offsets = sample_hash_fn(32, np.random.default_rng(2).random(400))
-        assert np.all((0.0 <= offsets) & (offsets <= widths))
+        fns = sample_hash_fn(32, np.random.default_rng(2).random(400))
+        assert np.all((0.0 <= fns["offset"]) & (fns["offset"] <= fns["width"]))
 
     # the width range is empty or degenerate for n <= 4; fit refuses such a
     # dataset once, before any leaf samples its functions
@@ -41,17 +41,16 @@ class TestSampleHashFn:
     def test_deterministic_under_seed(self):
         a = sample_hash_fn(20, np.random.default_rng(7).random(20))
         b = sample_hash_fn(20, np.random.default_rng(7).random(20))
-        assert a[0].shape == a[1].shape == (10,)
-        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+        assert a["width"].shape == a["offset"].shape == (10,)
+        assert a.tobytes() == b.tobytes()
 
     # fit maps every leaf's block at once; row k must give what block k alone gives
     def test_block_rows_match_single_rows(self):
         u = np.random.default_rng(8).random((7, 2 * 5))
-        widths, offsets = sample_hash_fn(100, u)
-        assert widths.shape == offsets.shape == (7, 5)
+        fns = sample_hash_fn(100, u)
+        assert fns.shape == (7, 5)
         for k in range(7):
-            w, o = sample_hash_fn(100, u[k])
-            assert (widths[k].tobytes(), offsets[k].tobytes()) == (w.tobytes(), o.tobytes())
+            assert fns[k].tobytes() == sample_hash_fn(100, u[k]).tobytes()
 
     # One block of uniforms must give the functions, and leave the stream,
     # exactly as h sequential pairs of scalar rng.uniform draws do.
@@ -62,18 +61,19 @@ class TestSampleHashFn:
         for leaf in range(20):
             batched = spawn_rng(3, HASH_STREAM, n, leaf)
             scalar = spawn_rng(3, HASH_STREAM, n, leaf)
-            widths, offsets = sample_hash_fn(n, batched.random(2 * h))
+            fns = sample_hash_fn(n, batched.random(2 * h))
             expected = []
             for _ in range(h):
                 width = scalar.uniform(lo, 1.0 - lo)
                 expected.append((width.hex(), scalar.uniform(0.0, width).hex()))
-            assert [(w.hex(), o.hex()) for w, o in zip(widths.tolist(), offsets.tolist())] == expected
+            got = zip(fns["width"].tolist(), fns["offset"].tolist())
+            assert [(w.hex(), o.hex()) for w, o in got] == expected
             assert batched.random() == scalar.random()
 
 
 class TestHashValue:
     def test_examples(self):
-        fn = HashFn(width=0.5, offset=0.25)
+        fn = hash_fns((0.5, 0.25))[0]
         assert hash_keys(fn, np.array([2.5, -0.3, 0.0])).tolist() == [5, -1, 0]
 
     def test_monotone_non_decreasing(self):
@@ -103,7 +103,7 @@ class TestHashValue:
     # admitted key and -2**63 the smallest.
     @pytest.mark.parametrize("value", [2.0**62 - 512, -(2.0**62), 1e17, -1e17])
     def test_vectorized_matches_scalar_at_int64_boundary(self, value):
-        fn = HashFn(width=0.5, offset=0.0)
+        fn = hash_fns((0.5, 0.0))[0]
         keys = hash_keys(fn, np.array([value, 0.25]))
         assert keys.dtype == np.int64
         assert keys.tolist() == [hash_value(fn, value), 0]
@@ -113,26 +113,26 @@ class TestHashValue:
     @pytest.mark.parametrize("value", [2.0**62, -(2.0**62 + 1024), 1e19, -1e19, 1e300, 1.7e308])
     def test_keys_beyond_int64_rejected(self, value):
         with pytest.raises(ValueError, match="outside the int64 range"):
-            hash_keys(HashFn(width=0.5, offset=0.0), np.array([0.25, value]))
+            hash_keys(hash_fns((0.5, 0.0))[0], np.array([0.25, value]))
 
     # Datasets reject non-finite values before hashing; hash_keys must not
     # cast them to int64 garbage if one gets through.
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="outside the int64 range"):
-            hash_keys(HashFn(0.5, 0.25), np.array([0.25, bad]))
+            hash_keys(hash_fns((0.5, 0.25))[0], np.array([0.25, bad]))
 
 
 def _identical_rows(n: int, d: int) -> LabeledDataset:
     return LabeledDataset(np.tile(np.linspace(0, 1, d), (n, 1)), np.zeros(n, int))
 
 
-def _column_counts(ds: LabeledDataset, t: int, fn: HashFn) -> np.ndarray:
+def _column_counts(ds: LabeledDataset, t: int, fn: np.record) -> np.ndarray:
     """Each row's density in a one-column leaf at ``t`` under ``fn`` alone.
 
     That is the number of rows whose key at ``t`` equals its own.
     """
-    tables = build_leaf_tables(ds, Segment(t, t), [fn])
+    tables = build_leaf_tables(ds, Segment(t, t), hash_fns(fn))
     return leaf_point_densities(ds.subsequences, tables)[:, 0]
 
 
@@ -143,12 +143,12 @@ class TestBuildLeafTables:
         # one key per column under each function: every row counts all 8
         # rows in every column of the segment, under both functions
         ds = _identical_rows(8, 6)
-        tables = build_leaf_tables(ds, Segment(2, 5), [HashFn(0.5, 0.1), HashFn(0.3, 0.2)])
+        tables = build_leaf_tables(ds, Segment(2, 5), hash_fns((0.5, 0.1), (0.3, 0.2)))
         np.testing.assert_array_equal(leaf_point_densities(ds.subsequences, tables), 2 * 8.0)
 
     def test_single_row(self):
         ds = LabeledDataset([[0.1, 0.2, 0.3, 0.4]], [0])
-        tables = build_leaf_tables(ds, Segment(1, 4), [HashFn(0.5, 0.0)])
+        tables = build_leaf_tables(ds, Segment(1, 4), hash_fns((0.5, 0.0)))
         np.testing.assert_array_equal(leaf_point_densities(ds.subsequences, tables), 1.0)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -158,7 +158,7 @@ class TestBuildLeafTables:
         n, d = int(rng.integers(2, 30)), int(rng.integers(4, 12))
         ds = LabeledDataset(rng.normal(size=(n, d)), np.zeros(n, int))
         for w in rng.uniform(0.1, 0.9, size=3):
-            fn = HashFn(float(w), float(w) / 3)
+            fn = hash_fns((float(w), float(w) / 3))[0]
             for t in range(1, d + 1):
                 keys = hash_keys(fn, ds.subsequences[:, t - 1])
                 _, first = np.unique(keys, return_index=True)
@@ -168,7 +168,7 @@ class TestBuildLeafTables:
         rng = np.random.default_rng(42)
         ds = LabeledDataset(rng.normal(size=(12, 8)), np.zeros(12, int))
         rows = ds.subsequences.tolist()
-        for fn in [HashFn(0.4, 0.1), HashFn(0.6, 0.0)]:
+        for fn in hash_fns((0.4, 0.1), (0.6, 0.0)):
             for t in range(3, 8):
                 column_keys = [hash_value(fn, row[t - 1]) for row in rows]
                 expected = [column_keys.count(key) for key in column_keys]
@@ -189,7 +189,7 @@ class TestBuildLeafTables:
             ],
             [0, 0, 0],
         )
-        tables = build_leaf_tables(ds, Segment(1, 2), [HashFn(0.5, 0.0), HashFn(0.25, 0.125)])
+        tables = build_leaf_tables(ds, Segment(1, 2), hash_fns((0.5, 0.0), (0.25, 0.125)))
         got = leaf_point_densities(ds.subsequences, tables)
         assert got.tolist() == [[2.0, 5.0], [3.5, 5.0], [3.0, 3.5]]
 
@@ -237,5 +237,5 @@ class TestRangeProof:
             fit(ds, m=1, h=2, seed=seed)
         fit(ds, m=10, h=2, seed=0)
         for offset in (0.0, 0.125, 0.25):
-            fn = HashFn(0.25, offset)
+            fn = hash_fns((0.25, offset))[0]
             assert hash_keys(fn, x).tolist() == [[hash_value(fn, v) for v in row] for row in x.tolist()]

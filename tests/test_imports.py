@@ -1,10 +1,12 @@
 """Every module-level import of the package, the tests and the benchmark
 scripts is used, every name a package module exports is bound, and every
-module-level function and class of the package is named somewhere else.
+module-level function, class and assigned name of the package is named
+somewhere else.
 
 No linter runs on this repository, so this catches what a deletion most
 often leaves behind: an import that nothing reads, an ``__all__`` entry
-for a name that is gone, or a helper that nothing calls any more.
+for a name that is gone, or a helper or constant that nothing reads any
+more.
 ``dlde/__init__.py`` is exempt from the first check, as it exists to bind
 names.  The modules are parsed, not imported: importing ``dlde.__main__``
 runs the CLI.
@@ -70,6 +72,20 @@ def test_exported_names_are_bound():
     assert unbound == {}
 
 
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class and assigned name
+    of ``tree``, except ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id != "__all__":
+                        yield n.id, node
+
+
 def test_package_definitions_are_named_elsewhere():
     # a text match, so that a name in a string counts, as the hooks that
     # benchmarks/tracing.py names in INSTRUMENTS do
@@ -78,12 +94,10 @@ def test_package_definitions_are_named_elsewhere():
     lines = {p: p.read_text(encoding="utf-8").splitlines() for p in paths}
     orphans = []
     for path in sorted(ROOT.glob("src/dlde/*.py")):
-        for node in ast.parse("\n".join(lines[path])).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for name, node in _definitions(ast.parse("\n".join(lines[path]))):
             own = range(node.lineno - 1, node.end_lineno)
-            word = re.compile(rf"\b{node.name}\b")
+            word = re.compile(rf"\b{name}\b")
             if not any(word.search(line) for p in paths for i, line in enumerate(lines[p])
                        if not (p == path and i in own)):
-                orphans.append(f"{path.relative_to(ROOT)}: {node.name}")
+                orphans.append(f"{path.relative_to(ROOT)}: {name}")
     assert orphans == []

@@ -138,7 +138,7 @@ def _runs(
         if len(aucs) == 1:
             scored = [(ms[0], score(forest, dataset).scores)]
         else:
-            sums = enumerate(_tree_sums(forest, dataset), 1)
+            sums = enumerate(_tree_sums(forest), 1)
             scored = ((m, acc / m) for m, acc in sums if m in aucs)
         for m, scores in scored:
             aucs[m].append(auc(scores, labels))

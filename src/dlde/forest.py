@@ -8,13 +8,12 @@ into anomaly scores in [0, 1] so that the most anomalous row gets the
 highest value.
 
 Scoring is transductive: the bucket counts are taken over the scored
-matrix itself, so :func:`score` accepts only the matrix the forest was
-fitted on, recognized by the sha256 of its bytes.
+matrix itself, so the forest keeps the dataset it was fitted on and
+scores that one; :func:`score` refuses a matrix with other values.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -48,9 +47,7 @@ class TreeModel:
 class TSForest:
     trees: tuple[TreeModel, ...]
     hlimit: int  # resolved: floor(log2(d)) when fit was given None
-    n: int
-    d: int
-    digest: str  # sha256 of the fitted matrix's bytes
+    dataset: LabeledDataset  # the fitted rows, which scoring counts over
 
 
 @dataclass(frozen=True)
@@ -124,45 +121,36 @@ def fit(
         for tree in trees
     )
 
-    return TSForest(trees=models, hlimit=hlimit, n=dataset.n, d=dataset.d,
-                    digest=_digest(dataset))
+    return TSForest(trees=models, hlimit=hlimit, dataset=dataset)
 
 
 def score(forest: TSForest, dataset: LabeledDataset) -> ScoreVector:
     """Ensemble densities and anomaly scores for the fitted dataset.
 
     Raises:
-        ValueError: dataset is not the fitted one.
+        ValueError: ``dataset``'s matrix differs from the fitted one in
+            shape or in any value (-0.0 equals 0.0).
     """
-    *_, acc = _tree_sums(forest, dataset)
+    if not np.array_equal(dataset.subsequences, forest.dataset.subsequences):
+        raise ValueError(
+            f"dataset of shape {dataset.subsequences.shape} does not match fitted rows; "
+            "scores are defined only for the matrix the forest was fitted on"
+        )
+    *_, acc = _tree_sums(forest)
     scores = acc / len(forest.trees)
     return ScoreVector(scores=scores, anomaly_scores=anomaly_scores(scores))
 
 
-def _tree_sums(forest: TSForest, dataset: LabeledDataset) -> Iterator[np.ndarray]:
+def _tree_sums(forest: TSForest) -> Iterator[np.ndarray]:
     """Row density sums over the first k trees, yielded in place for k = 1..m.
 
     The one accumulation whose order decides the bits of every score.
     """
-    if (dataset.n, dataset.d) != (forest.n, forest.d):
-        raise ValueError(
-            f"dataset shape ({dataset.n}, {dataset.d}) does not match fitted "
-            f"({forest.n}, {forest.d})"
-        )
-    if _digest(dataset) != forest.digest:
-        raise ValueError(
-            "dataset differs from the one the forest was fitted on; "
-            "scores are only defined transductively"
-        )
-    x = np.asfortranarray(dataset.subsequences)  # each leaf block a slice
-    acc = np.zeros(dataset.n)
+    x = np.asfortranarray(forest.dataset.subsequences)  # each leaf block a slice
+    acc = np.zeros(len(x))
     for model in forest.trees:
         acc += row_densities(x, model.leaf_tables.values())
         yield acc
-
-
-def _digest(dataset: LabeledDataset) -> str:
-    return hashlib.sha256(dataset.subsequences).hexdigest()
 
 
 def anomaly_scores(scores: np.ndarray | list[float]) -> np.ndarray:

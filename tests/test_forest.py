@@ -327,7 +327,7 @@ class TestDeterminism:
         assert list(map(tree_model_state, small.trees)) == list(
             map(tree_model_state, large.trees[:k])
         )
-        acc = next(islice(_tree_sums(large, ds), k - 1, None))
+        acc = next(islice(_tree_sums(large), k - 1, None))
         assert (acc / k).tobytes() == score(small, ds).scores.tobytes()
 
 
@@ -360,11 +360,21 @@ class TestScore:
         # forest was not fitted on would score without a word; it is refused
         ds = random_dataset(np.random.default_rng(8), 10, 12)
         forest = fit(ds, m=2, seed=0)
+        assert forest.dataset is ds
         nudged = LabeledDataset(ds.subsequences + 1e-12, ds.labels)
         with pytest.raises(ValueError, match="fitted on"):
             score(forest, nudged)
         copy = LabeledDataset(ds.subsequences.copy(), ds.labels)
         assert score(forest, copy).scores.tobytes() == score(forest, ds).scores.tobytes()
+        # equal values in other bytes are the same matrix: every 0.0 of a
+        # rounded matrix turned into -0.0 scores as if it had been fitted
+        rounded = LabeledDataset(np.round(ds.subsequences) + 0.0, ds.labels)  # no -0.0 left
+        zeros = rounded.subsequences == 0.0
+        signed = LabeledDataset(np.where(zeros, -0.0, rounded.subsequences), ds.labels)
+        assert zeros.any() and signed.subsequences.tobytes() != rounded.subsequences.tobytes()
+        for seed in range(3):
+            got = score(fit(rounded, m=2, seed=seed), signed).scores
+            assert got.tobytes() == score(fit(signed, m=2, seed=seed), signed).scores.tobytes()
 
     # hash widths depend only on N and trees only on d, and tables are
     # counts, so reordering the rows reorders the scores bit for bit

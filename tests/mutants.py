@@ -4,7 +4,8 @@ Each entry is one deliberate fault: the file it goes in, the exact text it
 replaces (which occurs once in that file), the text put in its place, and
 what it breaks.  ``tests/test_mutants.py`` checks that every entry still
 applies to the source; this script applies each one to a fresh copy of the
-working tree, outside the repository, and runs the suite there::
+working tree, outside the repository, and runs the suite there, all but
+this table's own check::
 
     python tests/mutants.py [--only NAME]
 
@@ -135,7 +136,11 @@ def apply(mutant: Mutant, root: Path) -> None:
 def suite_fails(mutant: Mutant | None) -> tuple[bool, float]:
     """Run ``pytest -x -q tests`` on a fresh copy of the working tree with
     ``mutant`` applied (none for the unmutated copy); whether it failed, and
-    the seconds it took."""
+    the seconds it took.
+
+    The copy's own ``tests/test_mutants.py`` is left out: it checks that each
+    old text is in the source, so it fails on every mutated copy and would
+    count a mutant as killed whether or not any real test catches it."""
     work = Path(tempfile.mkdtemp(prefix="dlde-mutant-"))
     try:
         tree = work / "repo"
@@ -145,7 +150,8 @@ def suite_fails(mutant: Mutant | None) -> tuple[bool, float]:
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
         started = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--ignore=tests/test_mutants.py", "tests"],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         return proc.returncode != 0, time.perf_counter() - started

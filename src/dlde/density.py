@@ -8,9 +8,9 @@ q's key counts summed over the h functions.  Low density marks anomalies.
 
 Scoring is transductive: counts come from the matrix being scored, so TN
 holds q's own column and every density is >= h.  Nothing here checks its
-input: ``fit`` admitted the matrix, and with it the int64 range of every
-key (see :func:`dlde.hashing.check_dataset`).  Keys never decrease as the
-value grows, so in a leaf's sorted values one key tuple is one run, a
+input: ``fit`` admitted the matrix, and with it a finite float64 value for
+every key (see :func:`dlde.hashing.check_dataset`).  Keys never decrease as
+the value grows, so in a leaf's sorted values one key tuple is one run, a
 *cell*, and one key of one function a run of cells.
 
 :func:`leaf_point_densities` reads a leaf's functions as the two fields
@@ -47,9 +47,9 @@ def leaf_point_densities(x: np.ndarray, tables: LeafTables) -> np.ndarray:
     """Point densities of every value of ``x`` inside one leaf segment.
 
     Unchecked: ``x`` must be the matrix ``tables`` was built from, whose
-    keys :func:`dlde.hashing.check_dataset` proved to fit int64 once per
-    fit.  A column-major ``x`` gives the same bits as a row-major one, and
-    its leaf blocks are slices.
+    keys :func:`dlde.hashing.check_dataset` proved below 2**63 in
+    magnitude, and so finite, once per fit.  A column-major ``x`` gives the
+    same bits as a row-major one, and its leaf blocks are slices.
 
     Args:
         x: The full (N, d) matrix being scored; the counts are its own.

@@ -24,7 +24,7 @@ from .dataset import LabeledDataset
 from .density import row_densities
 from .errors import require_int
 from .hashing import LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
-from .seeding import HASH_STREAM, TREE_STREAM, spawn_rng, spawn_uniforms
+from .seeding import TREE_STREAM, spawn_rng
 from .tstree import Segment, TSTree, build_tstree
 
 __all__ = [
@@ -87,18 +87,20 @@ def fit(
         h: Number of hash functions per leaf.
         slimit: Leaf length threshold for tree growth.
         hlimit: Depth cap; ``None`` resolves to floor(log2(d)).
-        seed: Root of all randomness.  Every tree and every leaf draws
-            from its own derived stream, so refitting with a larger ``m``
-            reproduces the first trees unchanged.
+        seed: Root of all randomness.  Tree i grows, then draws its
+            leaves' functions, from its own stream (seed, tree i), so
+            refitting with a larger ``m`` reproduces the first trees
+            unchanged, and with a smaller ``h`` keeps the first ``h``
+            functions of every leaf.
 
     Raises:
         ConfigurationError: ``m``/``h``/``slimit`` not an integer >= 1,
             ``hlimit`` (unless None) or ``seed`` not an integer >= 0, a
             dataset too small to sample hash widths for, or values so far
-            off the unit scale that a bucket key could leave int64 under
-            some width (z-normalize such data first).  The parameters are
-            checked first, then the dataset, once per fit (see
-            :func:`dlde.hashing.check_dataset`).
+            off the unit scale that a bucket key could reach 2**63 in
+            magnitude under some width (z-normalize such data first).  The
+            parameters are checked first, then the dataset, once per fit
+            (see :func:`dlde.hashing.check_dataset`).
     """
     m = require_int(m, 1, "tree count")
     h = require_int(h, 1, "hash count")
@@ -107,14 +109,15 @@ def fit(
     seed = require_int(seed, 0, "seed")
     check_dataset(dataset.n, dataset.peak)
 
-    trees = [build_tstree(dataset.d, hlimit, slimit, spawn_rng(seed, TREE_STREAM, i))
-             for i in range(m)]
-    # one lane per leaf, keyed (HASH_STREAM, tree, ordinal), in tree then leaf order
-    ordinals = np.concatenate([np.arange(len(tree.segments)) for tree in trees])
-    tree_ids = np.repeat(np.arange(m), [len(tree.segments) for tree in trees])
-    keys = np.column_stack((np.full_like(ordinals, HASH_STREAM), tree_ids, ordinals))
-    # one (h,) row view per leaf of the read-only (leaves, h) table
-    rows = iter(sample_hash_fn(dataset.n, spawn_uniforms(seed, keys, 2 * h)))
+    trees, blocks = [], []
+    for i in range(m):
+        rng = spawn_rng(seed, TREE_STREAM, i)  # grows tree i, then draws its functions
+        tree = build_tstree(dataset.d, hlimit, slimit, rng)
+        trees.append(tree)
+        # row 2j: function j's width uniform for every leaf, row 2j + 1: its offset's
+        blocks.append(rng.random((2 * h, len(tree.segments))).T)
+    # one (h,) row view per leaf of the read-only (leaves, h) table, in tree then leaf order
+    rows = iter(sample_hash_fn(dataset.n, np.concatenate(blocks)))
     models = tuple(
         TreeModel(tree, {s: build_leaf_tables(dataset, s, fns)
                          for s, fns in zip(tree.segments, rows)})

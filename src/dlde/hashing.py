@@ -4,17 +4,18 @@ Two sample values are considered similar when they fall into the same
 bucket of ``floor((value + offset) / width)``.  The bucket width is drawn
 from a range that shrinks as the dataset grows, ``[1/log2(N), 1 - 1/log2(N)]``,
 which presumes roughly unit-scale data (see ``znormalize``).  Bucket keys
-are int64, so every key must lie in [-2**63, 2**63).  :func:`check_dataset`
-decides once per fit, from N and the dataset's largest magnitude alone,
-whether every key under every width the range allows fits; so what a fit
-accepts depends on neither its seed nor its number of trees.
+are float64 (:func:`bucket_keys`).  :func:`check_dataset` decides once per
+fit, from N and the dataset's largest magnitude alone, whether every key
+under every width the range allows stays below 2**63 in magnitude, the
+admission rule kept from int64 keys, which keeps every key finite; so what
+a fit accepts depends on neither its seed nor its number of trees.
 
 A leaf segment of a tree keeps only its ``h`` independently sampled
 bucketing functions: one read-only (h,) row of :data:`HASH_FN` records,
-a view of the one array that :func:`dlde.forest.fit` draws for every leaf
-at once.  The counts they induce (how many subsequences put each bucket
-key at each time column) are built where densities are read, from the
-matrix being scored (see :mod:`dlde.density`).
+a view of the one array that :func:`dlde.forest.fit` maps from every
+tree's uniforms at once.  The counts they induce (how many subsequences
+put each bucket key at each time column) are built where densities are
+read, from the matrix being scored (see :mod:`dlde.density`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def _width_floor(n: int) -> float:
 
 def check_dataset(n: int, peak: float) -> None:
     """Refuse a dataset of ``n`` subsequences and largest magnitude ``peak``
-    unless every bucket key under every width it can draw fits int64.
+    unless every bucket key under every width it can draw stays below 2**63
+    in magnitude: the rule kept from int64 keys, which keeps every float64
+    key finite.
 
     Every width is at least lo = 1/log2(n) and every offset is below 1, so
     no key's magnitude exceeds (peak + 1) / lo; rounding is monotone, so
@@ -78,11 +81,13 @@ def sample_hash_fn(n: int, u: np.ndarray) -> np.ndarray:
     functions that a (..., 2h) block ``u`` of uniforms on [0, 1) gives for
     a dataset of ``n`` subsequences.
 
-    Each width is uniform on [1/log2(n), 1 - 1/log2(n)] and each offset
-    uniform on [0, width], taken with ``rng.uniform``'s arithmetic: a row
-    of ``rng.random(2 * h)`` gives bit for bit the functions of ``h``
-    sequential (width, offset) ``rng.uniform`` draws.  Unchecked: ``n``
-    must have passed :func:`check_dataset`.
+    Function j takes its width from ``u[..., 2j]``, uniform on
+    [1/log2(n), 1 - 1/log2(n)], and its offset from ``u[..., 2j + 1]``,
+    uniform on [0, width], with ``rng.uniform``'s arithmetic: the functions
+    are bit for bit the (width, offset) ``rng.uniform`` draws that take
+    those doubles.  ``fit`` passes one row per leaf, a column of its tree's
+    (2h, leaves) block.  Unchecked: ``n`` must have passed
+    :func:`check_dataset`.
     """
     lo = _width_floor(n)
     fns = np.empty(u.shape[:-1] + (u.shape[-1] // 2,), HASH_FN)

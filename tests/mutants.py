@@ -58,13 +58,22 @@ MUTANTS = (
     Mutant("constant-scores-zero", "src/dlde/forest.py",
            "return np.full(s.shape, 0.5)", "return np.full(s.shape, 0.0)",
            "constant densities read as wholly normal, not as no evidence"),
-    Mutant("xsl-rr-rotation", "src/dlde/seeding.py",
-           "x, rot = hi ^ lo, hi >> 58", "x, rot = hi ^ lo, hi >> 59",
-           "the lanes no longer reproduce PCG64's doubles"),
-    Mutant("seed-words-past-fourth", "src/dlde/seeding.py",
-           "range(0, max(seed.bit_length(), 1), 32)]",
-           "range(0, max(seed.bit_length(), 1), 32)][:4]",
-           "a seed of 2**128 or more draws another seed's hash functions"),
+    Mutant("hash-draw-untransposed", "src/dlde/forest.py",
+           "blocks.append(rng.random((2 * h, len(tree.segments))).T)",
+           "blocks.append(rng.random((len(tree.segments), 2 * h)))",
+           "leaf o takes the o-th run of 2h doubles, so fit(h=k) drops the prefix of fit(h=K)"),
+    Mutant("hash-draw-fresh-generator", "src/dlde/forest.py",
+           "blocks.append(rng.random((2 * h, len(tree.segments))).T)",
+           "blocks.append(spawn_rng(seed, TREE_STREAM, i).random((2 * h, len(tree.segments))).T)",
+           "the hash uniforms replay the doubles that drew the tree's split points"),
+    Mutant("run-seeds-ignore-path", "src/dlde/seeding.py",
+           'SeedSequence(require_int(seed, 0, "seed"), spawn_key=tuple(path))',
+           'SeedSequence(require_int(seed, 0, "seed"))',
+           "every run of an experiment gets the same seed"),
+    Mutant("streams-keyed-by-first-word", "src/dlde/seeding.py",
+           "np.random.SeedSequence(seed, spawn_key=tuple(path)))",
+           "np.random.SeedSequence(seed, spawn_key=tuple(path[:1])))",
+           "every tree of a forest grows and hashes from the same stream"),
     Mutant("spread-slack-zero", "src/dlde/density.py",
            "slack = 1.0 + (h + 8)", "slack = 0.0 * (h + 8)",
            "rounding on a bucket edge can tip the boundary-search decision"),

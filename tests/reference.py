@@ -6,8 +6,10 @@ are obtained by scanning all rows, and no key -> count tables are ever
 constructed.  Only tree structures and sampled hash parameters are taken
 from the objects under test, so both sides of every comparison consume
 the same randomness while computing the answer through disjoint code.
-:func:`leaf_hash_fns` draws a leaf's hash parameters itself, from that
-leaf's own generator, to check the ones ``fit`` draws for all leaves at once.
+:func:`tree_hash_fns` draws a tree's hash parameters itself, one scalar at
+a time, to check the ones ``fit`` draws for all leaves at once;
+:func:`leaf_hash_fns` draws a leaf's from a stream of its own, which the
+score fingerprints were recorded under.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 import math
 
 from dlde.forest import TSForest
-from dlde.seeding import HASH_STREAM, spawn_rng
-from dlde.tstree import Segment, TSTree, leaves
+from dlde.seeding import TREE_STREAM, spawn_rng
+from dlde.tstree import Segment, TSTree, build_tstree, leaves
+
+HASH_STREAM = 1  # spawn-key word of the per-leaf streams of leaf_hash_fns
 
 
 def is_full_binary(depths: tuple[int, ...]) -> bool:
@@ -41,6 +45,24 @@ def leaf_hash_fns(seed: int, tree: int, ordinal: int, n: int, h: int) -> list[tu
     for _ in range(h):
         width = rng.uniform(lo, 1.0 - lo)
         fns.append((width, rng.uniform(0.0, width)))
+    return fns
+
+
+def tree_hash_fns(
+    seed: int, tree: int, d: int, n: int, h: int, hlimit: int, slimit: int
+) -> list[list[tuple[float, float]]]:
+    """(width, offset) of the ``h`` functions of every leaf of tree ``tree``,
+    leaf by leaf.  The tree's own generator regrows it, then draws, for each
+    function in turn, a ``uniform`` width on [1/log2(n), 1 - 1/log2(n)] for
+    every leaf, then a ``uniform`` offset on [0, width] for every leaf."""
+    rng = spawn_rng(seed, TREE_STREAM, tree)
+    segments = build_tstree(d, hlimit, slimit, rng).segments
+    lo = 1.0 / math.log2(n)
+    fns: list[list[tuple[float, float]]] = [[] for _ in segments]
+    for _ in range(h):
+        widths = [rng.uniform(lo, 1.0 - lo) for _ in segments]
+        for leaf, width in zip(fns, widths):
+            leaf.append((width, rng.uniform(0.0, width)))
     return fns
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -14,12 +15,12 @@ import dlde.density
 import dlde.hashing
 from dlde import ConfigurationError, LabeledDataset, fit, score
 from dlde.density import leaf_point_densities
-from dlde.forest import _tree_sums, anomaly_scores
-from dlde.hashing import HASH_FN, bucket_keys, sample_hash_fn
+from dlde.forest import TreeModel, TSForest, _tree_sums, anomaly_scores
+from dlde.hashing import HASH_FN, LeafTables, bucket_keys, sample_hash_fn
 from dlde.tstree import Segment, leaves
 
 from conftest import hash_fns, hash_keys, matrices, random_dataset, tree_model_state
-from reference import hash_value, leaf_hash_fns, tree_point_densities
+from reference import hash_value, leaf_hash_fns, tree_hash_fns, tree_point_densities
 
 
 def _constant_dataset(n: int, d: int, value: float = 0.3) -> LabeledDataset:
@@ -203,8 +204,8 @@ class TestFit:
         a, b = fit(ds, m=2, h=2, seed=np.uint64(5)), fit(ds, m=2, h=2, seed=5)
         assert list(map(tree_model_state, a.trees)) == list(map(tree_model_state, b.trees))
 
-    # fit draws every leaf's functions in one pass of lanes; each leaf must
-    # hold, bit for bit, what its own generator gives
+    # fit draws each tree's functions as one block of uniforms; each leaf must
+    # hold, bit for bit, the scalar draws of the generator that grew its tree
     @settings(max_examples=25)
     @example(m=30, h=37, seed=2**64 + 5)
     @given(
@@ -216,9 +217,10 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(9), 12, 24)
         forest = fit(ds, m=m, h=h, slimit=1, seed=seed)
         for i, model in enumerate(forest.trees):
-            for o, segment in enumerate(model.tree.segments):
-                got = [(fn.width.hex(), fn.offset.hex()) for fn in model.leaf_tables[segment].fns]
-                assert got == [(w.hex(), x.hex()) for w, x in leaf_hash_fns(seed, i, o, ds.n, h)]
+            got = [[(fn.width.hex(), fn.offset.hex()) for fn in model.leaf_tables[s].fns]
+                   for s in model.tree.segments]
+            expected = tree_hash_fns(seed, i, ds.d, ds.n, h, forest.hlimit, 1)
+            assert got == [[(w.hex(), x.hex()) for w, x in leaf] for leaf in expected]
 
     # fit draws every leaf's functions as one read-only (leaves, h) HASH_FN
     # table, and each leaf holds a row view of it, in tree then leaf order
@@ -330,6 +332,19 @@ class TestDeterminism:
         acc = next(islice(_tree_sums(large), k - 1, None))
         assert (acc / k).tobytes() == score(small, ds).scores.tobytes()
 
+    # what lets a sweep over h fit once per run at the largest h: the trees do
+    # not depend on h, and every leaf's first k functions under h = K are its
+    # functions under h = k
+    @given(x=matrices(), m=st.integers(1, 3), k=st.integers(1, 6), extra=st.integers(1, 6),
+           seed=st.integers(0, 99))
+    def test_hash_prefix(self, x, m, k, extra, seed):
+        ds = LabeledDataset(x, np.zeros(len(x), int))
+        small, large = fit(ds, m=m, h=k, seed=seed), fit(ds, m=m, h=k + extra, seed=seed)
+        assert [model.tree for model in small.trees] == [model.tree for model in large.trees]
+        for a, b in zip(small.trees, large.trees):
+            for segment, tables in a.leaf_tables.items():
+                assert tables.fns.tobytes() == b.leaf_tables[segment].fns[:k].tobytes()
+
 
 class TestScore:
     def test_constant_dataset_scores_equal(self):
@@ -414,9 +429,25 @@ def _adc_scale_300x100() -> LabeledDataset:
     return LabeledDataset(x, np.zeros(300, int))
 
 
+def _per_leaf_fns(forest: TSForest, seed: int, h: int = 10) -> TSForest:
+    """``forest``, fitted with ``seed`` and ``h``, with every leaf's functions
+    replaced by the ones :func:`reference.leaf_hash_fns` draws from a stream
+    of the leaf's own."""
+    models = []
+    for i, model in enumerate(forest.trees):
+        segments = model.tree.segments
+        fns = np.array([leaf_hash_fns(seed, i, o, forest.dataset.n, h)
+                        for o in range(len(segments))], HASH_FN)
+        tables = {s: LeafTables(s, row) for s, row in zip(segments, fns)}
+        models.append(TreeModel(model.tree, tables))
+    return dataclasses.replace(forest, trees=tuple(models))
+
+
 class TestScoreFingerprint:
-    # sha256 of the score bytes, recorded before leaf tables became arrays;
-    # the data uses only uniform draws and exact arithmetic
+    # sha256 of the score bytes, recorded before leaf tables became arrays.
+    # They pin the scoring path: fit's trees, with every leaf's functions
+    # drawn from a stream of its own (_per_leaf_fns); the data uses only
+    # uniform draws and exact arithmetic
     @pytest.mark.parametrize(
         "make, digest",
         [
@@ -426,16 +457,22 @@ class TestScoreFingerprint:
     )
     def test_scores_byte_identical(self, make, digest):
         ds = make()
-        scores = score(fit(ds, seed=0), ds).scores
+        scores = score(_per_leaf_fns(fit(ds, seed=0), 0), ds).scores
         assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
 
     def test_long_leaves_byte_identical(self):
         # hlimit=1: each tree is two leaves spanning all 96 columns
         ds = _unit_scale_200x96()
-        forest = fit(ds, hlimit=1, seed=0)
+        forest = _per_leaf_fns(fit(ds, hlimit=1, seed=0), 0)
         assert all(len(model.tree.segments) == 2 for model in forest.trees)
         digest = hashlib.sha256(score(forest, ds).scores.tobytes()).hexdigest()
         assert digest == "19701b839425d4f300a439722a178f2250ca2cf1b8dfaa70610dadfab4ebcd27"
+
+    # the same data under the functions fit draws from each tree's generator
+    def test_fit_scores_byte_identical(self):
+        ds = _unit_scale_200x96()
+        digest = hashlib.sha256(score(fit(ds, seed=0), ds).scores.tobytes()).hexdigest()
+        assert digest == "1b5ccc5120c8990f83ff4fe74595614eb52a5c0c857b5b76493cce1968b37781"
 
 
 class TestAnomalyScores:

@@ -9,7 +9,7 @@ import dlde.forest
 from dlde import ConfigurationError, LabeledDataset, fit
 from dlde.density import leaf_point_densities
 from dlde.hashing import build_leaf_tables, check_dataset, sample_hash_fn
-from dlde.seeding import HASH_STREAM, spawn_rng
+from dlde.seeding import TREE_STREAM, spawn_rng
 from dlde.tstree import Segment
 
 from conftest import draw_fns, hash_fns, hash_keys, random_dataset
@@ -59,8 +59,8 @@ class TestSampleHashFn:
     def test_bits_match_sequential_uniform_draws(self, n, h):
         lo = 1.0 / math.log2(n)
         for leaf in range(20):
-            batched = spawn_rng(3, HASH_STREAM, n, leaf)
-            scalar = spawn_rng(3, HASH_STREAM, n, leaf)
+            batched = spawn_rng(3, TREE_STREAM, n, leaf)
+            scalar = spawn_rng(3, TREE_STREAM, n, leaf)
             fns = sample_hash_fn(n, batched.random(2 * h))
             expected = []
             for _ in range(h):

@@ -599,8 +599,10 @@ def test_normalize_reaches_the_protocol(tmp_path, command):
 
 
 def _golden_inputs(tmp_path):
-    """A labeled file and a raw series from uniform draws only, so their
-    text does not depend on how numpy draws from other distributions."""
+    """Two labeled files and a raw series from uniform draws only, so their
+    text does not depend on how numpy draws from other distributions.  The
+    labels of ``noise.csv`` are unrelated to its rows, so its AUCs are below
+    1 and depend on every hash draw."""
     rng = np.random.default_rng(21)
     x = rng.uniform(-2.0, 2.0, size=(16, 12))
     labels = (np.arange(16) % 5 == 0).astype(int)
@@ -609,6 +611,9 @@ def _golden_inputs(tmp_path):
     write_labeled_file(LabeledDataset(x, labels), tmp_path / "data.tsv", delimiter="\t")
     series = np.round(rng.uniform(0.0, 100.0, size=120), 1)
     (tmp_path / "series.txt").write_text("".join(f"{float(v)!r}\n" for v in series), encoding="utf-8")
+    noise = rng.uniform(-2.0, 2.0, size=(40, 12))
+    write_labeled_file(LabeledDataset(noise, (np.arange(40) % 4 == 0).astype(int)),
+                       tmp_path / "noise.csv")
 
 
 def _strict_json(text):
@@ -620,12 +625,14 @@ def _strict_json(text):
 
 
 _PROTOCOL = ["--input", "data.csv", "--anomaly-class", "1", "--hashes", "2", "--seed", "4"]
+_NOISE = ["--input", "noise.csv", "--anomaly-class", "1", "--hashes", "2", "--seed", "7"]
 
 
 # sha256 of each artifact, recorded when rows were dicts whose floats were
 # rendered with repr and the file was made by mkstemp (sweep-h and detect-tab:
 # when the header listed its keys by hand; every detect: when each tree began
-# drawing its leaves' functions); the config echo names the input, so the
+# drawing its leaves' functions; the noise goldens: when an h sweep ran each
+# value's runs in a loop of its own); the config echo names the input, so the
 # inputs are given relative to the working directory
 @pytest.mark.parametrize(
     "argv, digests",
@@ -658,9 +665,20 @@ _PROTOCOL = ["--input", "data.csv", "--anomaly-class", "1", "--hashes", "2", "--
           "--seed", "4294967296", "--repeats", "2"],
          {"csv": "38a611e7ed754cf2eb6f1851add2e506c6c87faa88cb80deae53a6a566241b6a",
           "json": "33b3dd2e3a4a2456f5d2aa69a3a2f83089694ed9d307006d56142af7b586244f"}),
+        (["evaluate", *_NOISE, "--repeats", "3", "--trees", "3"],
+         {"csv": "2cff7a49e08d11b9e7617035a2c5500f56d61916f06e8dfad88d7570737f36ed",
+          "json": "2170c786fc5b8133fd953e6669d0a4a060c530a0a827eaa474bedad7d94033f9"}),
+        (["sweep", *_NOISE, "--repeats", "3", "--param", "m", "--values", "4,1,4,2"],
+         {"csv": "65e4b63c67c70396c13b2e8b78f44384d76dfae7cc11d3bb21a04b4f7f9eadaf",
+          "json": "f1398c35928c5098a90efc4547ee1e507cbb349e020f655d1df5c0320617251c"}),
+        (["sweep", *_NOISE, "--repeats", "3", "--trees", "3", "--param", "h",
+          "--values", "3,1,3"],
+         {"csv": "fb498f6001b065b43744e5aab66a2e8dea3b137d3ea28e4b0731fc35571be0d3",
+          "json": "c1bcf71672af6377c7c1a8f34c4bfed3e0bb35f811b8ea7ec5d94bf8d4ca4792"}),
     ],
     ids=["detect-labeled", "detect-raw", "evaluate", "sweep-m", "sweep-h", "detect-tab",
-         "detect-multiword-seed", "evaluate-multiword-seed"],
+         "detect-multiword-seed", "evaluate-multiword-seed", "evaluate-noise", "sweep-m-noise",
+         "sweep-h-noise"],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_golden_artifacts(tmp_path, monkeypatch, argv, digests, fmt):

@@ -2,9 +2,9 @@
 
 The detector is randomized, so a single fit says little; experiments
 refit with a fresh derived seed per run (50 runs by default) and report
-the per-run AUCs with their mean and spread.  Parameter sweeps rerun the
-same protocol for each value of the tree count or hash count, holding
-the base seed fixed so curves are comparable.
+the per-run AUCs with their mean and spread.  A sweep reports every
+value of the tree count or hash count from the same runs, holding the
+base seed fixed so curves are comparable.
 
 The protocol scores a dataset the caller has loaded, as given: reading
 and z-normalizing input is the caller's job.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +35,9 @@ __all__ = [
 def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray) -> float:
     """Area under the ROC curve, where LOWER scores mean more anomalous.
 
-    Computed in the rank form of the Mann-Whitney statistic: the
-    probability that a uniformly random anomaly (label 1) scores strictly
-    below a uniformly random normal (label 0), with ties counted half.
+    The Mann-Whitney statistic, counted over its pairs: the probability
+    that a uniformly random anomaly (label 1) scores strictly below a
+    uniformly random normal (label 0), with ties counted half.
 
     Raises:
         MetricError: labels are not binary with both classes present.
@@ -56,14 +56,11 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[int] | np.ndarray
             f"AUC undefined: need both classes, not a single class; "
             f"got {n_anom} anomalies and {n_norm} normals"
         )
-    # Average rank of each value (ties share the mean of their rank block).
-    _, inverse, tie_counts = np.unique(s, return_inverse=True, return_counts=True)
-    block_end = np.cumsum(tie_counts)
-    avg_rank = block_end - (tie_counts - 1) / 2.0
-    ranks = avg_rank[inverse]
-    rank_sum = float(ranks[y == 1].sum())
-    above = (rank_sum - n_anom * (n_anom + 1) / 2.0) / (n_anom * n_norm)
-    return 1.0 - above
+    # per anomaly, the normals scoring strictly below it and those tied with it
+    normals, anomalies = np.sort(s[y == 0]), s[y == 1]
+    below = np.searchsorted(normals, anomalies, side="left")
+    ties = np.searchsorted(normals, anomalies, side="right") - below
+    return float(1.0 - (below.sum() + 0.5 * ties.sum()) / (n_anom * n_norm))
 
 
 @dataclass(frozen=True)
@@ -98,9 +95,9 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, dataset: LabeledDataset) -> ExperimentReport:
     """Fit, score and compute AUC ``config.repeats`` times on ``dataset``.
 
-    Run ``i`` uses a seed derived deterministically from
-    ``config.base_seed`` and ``i``, so reports are reproducible across
-    processes and runs are mutually independent.
+    Run ``i`` uses a seed derived from ``config.base_seed`` and ``i``, so
+    reports are reproducible across processes and runs are independent;
+    it is :func:`sweep` over the one value ``config.h``.
 
     Args:
         config: The run protocol.
@@ -112,42 +109,41 @@ def run_experiment(config: ExperimentConfig, dataset: LabeledDataset) -> Experim
         MetricError: labels are single-class, found by the first run's
             :func:`auc`, after its fit has admitted the parameters.
     """
-    return _runs(config, [config.m], dataset)[0]
+    return _runs(config, "h", [config.h], dataset)[0]
 
 
 def _runs(
-    config: ExperimentConfig, ms: list[int], dataset: LabeledDataset
+    config: ExperimentConfig, param: str, values: list[int], dataset: LabeledDataset
 ) -> list[ExperimentReport]:
-    """One report per tree count in ``ms``, in order, from one forest per run.
+    """One report per value of ``param`` in ``values``, in order.
 
-    Tree ``j`` of a run draws only from streams of ``(run seed, j)``, so a
-    fit with ``m`` trees is the first ``m`` trees of one with ``max(ms)``,
-    and its scores are the running density sum after ``m`` trees over ``m``.
+    Run ``i`` fits each distinct value once, in first-occurrence order,
+    but all of an m sweep from one fit of ``max(values)`` trees: tree ``j``
+    draws only from streams of ``(run seed, j)``, so the scores of ``m``
+    trees are the running density sum after ``m`` of them, over ``m``.
     """
     repeats = require_int(config.repeats, 1, "repeats")
-    labels = dataset.labels
-    aucs: dict[int, list[float]] = {m: [] for m in ms}
-    seconds: dict[int, list[float]] = {m: [] for m in ms}
+    params = {"m": config.m, "h": config.h, "slimit": config.slimit, "hlimit": config.hlimit}
+    aucs: dict[int, list[float]] = {v: [] for v in values}
+    seconds: dict[int, list[float]] = {v: [] for v in values}
     seeds: list[int] = []
     for i in range(repeats):
         run_seed = derive_seed(config.base_seed, RUN_STREAM, i)
         started = time.perf_counter()
-        forest = fit(dataset, m=max(ms), h=config.h, slimit=config.slimit,
-                     hlimit=config.hlimit, seed=run_seed)
-        # one value is a plain fit and score, where benchmarks/tracing.py times scoring
-        if len(aucs) == 1:
-            scored = [(ms[0], score(forest, dataset).scores)]
+        if param == "m":
+            forest = fit(dataset, **{**params, "m": max(values)}, seed=run_seed)
+            scored = ((m, acc / m) for m, acc in enumerate(_tree_sums(forest), 1) if m in aucs)
         else:
-            sums = enumerate(_tree_sums(forest), 1)
-            scored = ((m, acc / m) for m, acc in sums if m in aucs)
-        for m, scores in scored:
-            aucs[m].append(auc(scores, labels))
-            seconds[m].append(time.perf_counter() - started)
+            forests = ((v, fit(dataset, **{**params, param: v}, seed=run_seed)) for v in aucs)
+            scored = ((v, score(forest, dataset).scores) for v, forest in forests)
+        for v, scores in scored:
+            aucs[v].append(auc(scores, dataset.labels))
+            seconds[v].append(time.perf_counter() - started)
         seeds.append(run_seed)
 
     return [
-        ExperimentReport(aucs=tuple(aucs[m]), seeds=tuple(seeds), seconds=tuple(seconds[m]))
-        for m in ms
+        ExperimentReport(aucs=tuple(aucs[v]), seeds=tuple(seeds), seconds=tuple(seconds[v]))
+        for v in values
     ]
 
 
@@ -161,10 +157,10 @@ def sweep(
 
     Every report derives its run seeds from the same base seed, so the
     resulting curve isolates the effect of the swept parameter.  Reports
-    are returned in input order.  A sweep over ``m`` fits ``max(values)``
-    trees once per run and scores each smaller ``m`` from its first ``m``
-    trees, so each report equals :func:`run_experiment` with that ``m``;
-    ``seconds`` then runs from the start of the run to the AUC of ``m``.
+    are in input order, and each one's AUCs equal :func:`run_experiment`'s
+    with its value.  Each run fits ``max(values)`` trees once for ``m``,
+    and each distinct ``h`` once; ``seconds[i]`` runs from the start of
+    run ``i`` to its AUC for the value.
 
     Raises:
         ConfigurationError: unknown parameter name, empty value list, or
@@ -175,6 +171,4 @@ def sweep(
     if len(values) == 0:
         raise ConfigurationError("sweep needs at least one parameter value")
     values = [require_int(v, 1, f"invalid value for {param}:") for v in values]
-    if param == "m":
-        return _runs(config, values, dataset)
-    return [run_experiment(replace(config, h=v), dataset=dataset) for v in values]
+    return _runs(config, param, values, dataset)

@@ -70,9 +70,9 @@ def check_dataset(n: int, peak: float) -> None:
     lo = _width_floor(n)
     if not (peak + 1.0) / lo < 2.0**63:
         raise ConfigurationError(
-            f"values up to {peak:.3g} can give bucket keys outside the int64 range "
-            f"under widths down to 1/log2({n}) = {lo:.3g}; the data must be near "
-            "unit scale, so z-normalize the rows (--normalize)"
+            f"values up to {peak:.3g} can give bucket keys that reach 2**63 in magnitude "
+            f"under widths down to 1/log2({n}) = {lo:.3g} (the bound kept from int64 "
+            "keys); the data must be near unit scale, so z-normalize the rows (--normalize)"
         )
 
 

@@ -109,9 +109,17 @@ MUTANTS = (
            '**extra, **{k: v for k, v in vars(args).items() if k not in ("output", "handler")}}',
            "the artifact header's key order, and so every artifact byte"),
     Mutant("auc-ties-not-half", "src/dlde/evaluation.py",
-           "avg_rank = block_end - (tie_counts - 1) / 2.0",
-           "avg_rank = block_end - (tie_counts - 1)",
+           "(below.sum() + 0.5 * ties.sum())", "(below.sum() + 0.0 * ties.sum())",
            "tied scores across classes are not counted half"),
+    Mutant("sweep-fits-first-value", "src/dlde/evaluation.py",
+           "**{**params, param: v}", "**{**params, param: values[0]}",
+           "every value of an h sweep is fitted with the first one"),
+    Mutant("sweep-repeats-refitted", "src/dlde/evaluation.py",
+           "seed=run_seed)) for v in aucs)", "seed=run_seed)) for v in values)",
+           "a repeated h value is fitted again and its AUCs appended twice a run"),
+    Mutant("m-prefix-over-max", "src/dlde/evaluation.py",
+           "((m, acc / m) for m", "((m, acc / max(values)) for m",
+           "each m of a sweep is scored as its prefix sum over max(values) trees"),
     Mutant("four-rows-admitted", "src/dlde/hashing.py",
            "if n <= 4:", "if n <= 3:",
            "a 4-row dataset samples widths from an empty range"),

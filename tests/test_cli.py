@@ -489,20 +489,27 @@ class TestSweep:
         assert list(rows[0]) == ["param", "value", "mean_auc", "std_auc", "repeats"]
         assert config["param"] == "m" and config["values"] == [1, 2, 4]
 
-    def test_h_sweep_single_value_matches_evaluate(self, tmp_path):
-        data = _write_dataset(tmp_path)
+    def test_h_sweep_matches_evaluate_per_value(self, tmp_path):
+        # labels unrelated to the rows, so the AUC varies with the hash count
+        rng = np.random.default_rng(7)
+        data = tmp_path / "data.csv"
+        write_labeled_file(
+            LabeledDataset(rng.normal(size=(20, 10)), (np.arange(20) % 4 == 0).astype(int)), data
+        )
+        shared = ["--input", str(data), "--anomaly-class", "1", "--repeats", "2",
+                  "--trees", "2", "--seed", "5"]
         sweep_out = tmp_path / "sweep.csv"
-        eval_out = tmp_path / "eval.csv"
-        shared = [
-            "--input", str(data), "--anomaly-class", "1",
-            "--repeats", "2", "--trees", "2", "--hashes", "3", "--seed", "5",
-        ]
-        assert main(["sweep", *shared, "--param", "h", "--values", "3",
+        assert main(["sweep", *shared, "--param", "h", "--values", "3,1,3,2",
                      "--output", str(sweep_out)]) == EXIT_OK
-        assert main(["evaluate", *shared, "--output", str(eval_out)]) == EXIT_OK
-        sweep_config, sweep_rows = _read_csv(sweep_out)
-        eval_config, _ = _read_csv(eval_out)
-        assert float(sweep_rows[0]["mean_auc"]) == eval_config["mean_auc"]
+        _, rows = _read_csv(sweep_out)
+        for row in rows:
+            eval_out = tmp_path / f"eval_{row['value']}.csv"
+            assert main(["evaluate", *shared, "--hashes", row["value"],
+                         "--output", str(eval_out)]) == EXIT_OK
+            eval_config, _ = _read_csv(eval_out)
+            assert float(row["mean_auc"]) == eval_config["mean_auc"]
+        assert [r["value"] for r in rows] == ["3", "1", "3", "2"]
+        assert len({r["mean_auc"] for r in rows}) == 3
 
     def test_m_sweep_matches_evaluate_per_value(self, tmp_path):
         # labels unrelated to the rows, so the AUC varies with the tree count

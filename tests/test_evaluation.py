@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dlde.evaluation
 import dlde.forest
 from dlde import (
     ConfigurationError,
@@ -165,6 +166,39 @@ class TestSweep:
         # seconds of m run from the start of a run to the AUC of m
         for run in range(3):
             assert one.seconds[run] <= two.seconds[run] <= four.seconds[run]
+
+    # AUCs cannot tell a rescaled score vector from the right one, so compare
+    # the vectors themselves with each m's own fit
+    def test_m_sweep_scores_each_m_as_its_own_fit(self, monkeypatch):
+        seen = []
+        measure = dlde.evaluation.auc
+        monkeypatch.setattr(
+            dlde.evaluation, "auc", lambda s, y: seen.append(s.tobytes()) or measure(s, y)
+        )
+        ds, cfg = self._random_labels(17), _config(repeats=2)
+        sweep(cfg, "m", [4, 1, 2], dataset=ds)
+        seeds = [derive_seed(cfg.base_seed, RUN_STREAM, i) for i in range(2)]
+        assert seen == [score(fit(ds, m=m, h=cfg.h, seed=seed), ds).scores.tobytes()
+                        for seed in seeds for m in (1, 2, 4)]
+
+    def test_h_sweep_fits_each_value_once_per_run(self, monkeypatch):
+        built = []
+        build = dlde.forest.build_tstree
+        monkeypatch.setattr(
+            dlde.forest, "build_tstree", lambda *args: built.append(1) or build(*args)
+        )
+        ds, cfg = self._random_labels(16), _config(repeats=3)
+        reports = sweep(cfg, "h", [3, 1, 3], dataset=ds)
+        assert len(built) == 3 * 2 * 3  # repeats x distinct values x m
+        for v, report in zip([3, 1, 3], reports):
+            alone = run_experiment(replace(cfg, h=v), dataset=ds)
+            assert (report.aucs, report.seeds) == (alone.aucs, alone.seeds)
+        three, one, _ = reports
+        assert three.aucs != one.aucs
+        # seconds of h run from the start of a run to the AUC of h, and the
+        # values are fitted in first-occurrence order
+        for run in range(3):
+            assert three.seconds[run] <= one.seconds[run]
 
     def test_reports_in_input_order(self):
         ds = self._random_labels(9)

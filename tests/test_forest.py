@@ -157,9 +157,9 @@ class TestFit:
         with pytest.raises(ConfigurationError) as exc:
             fit(LabeledDataset(x, ds.labels), seed=0)
         assert str(exc.value) == (
-            "values up to 1e+19 can give bucket keys outside the int64 range under "
-            "widths down to 1/log2(8) = 0.333; the data must be near unit scale, so "
-            "z-normalize the rows (--normalize)"
+            "values up to 1e+19 can give bucket keys that reach 2**63 in magnitude under "
+            "widths down to 1/log2(8) = 0.333 (the bound kept from int64 keys); the data "
+            "must be near unit scale, so z-normalize the rows (--normalize)"
         )
 
     def test_large_admitted_keys_match_bruteforce(self):

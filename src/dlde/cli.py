@@ -28,6 +28,7 @@ import math
 import os
 import secrets
 import sys
+import time
 from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
@@ -137,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_flags(p_eval)
     _add_protocol_flags(p_eval)
-    p_eval.add_argument(
-        "--timing",
-        action="store_true",
-        help="include per-run wall-clock seconds in the artifact (makes the "
-        "output non-reproducible byte-for-byte)",
-    )
     p_eval.set_defaults(handler=_run_evaluate)
 
     p_sweep = sub.add_parser(
@@ -247,16 +242,16 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _run_evaluate(args: argparse.Namespace) -> None:
     dataset = _load_dataset(args, None)
+    started = time.perf_counter()
     report = run_experiment(_experiment_config(args), dataset)
+    seconds = time.perf_counter() - started
     config = _config_echo(args, {"n": dataset.n, "d": dataset.d,
                                  "mean_auc": report.mean_auc, "std_auc": report.std_auc})
-    columns = ["run", "seed", "auc"] + (["seconds"] if args.timing else [])
-    runs = zip(range(args.repeats), report.seeds, report.aucs, report.seconds)
-    rows = [run if args.timing else run[:3] for run in runs]
-    _write_atomic(args.output, _render(config, columns, rows, args.format))
+    rows = zip(range(args.repeats), report.seeds, report.aucs)
+    _write_atomic(args.output, _render(config, ["run", "seed", "auc"], rows, args.format))
     print(
         f"evaluate: {args.repeats} runs, mean AUC {report.mean_auc:.4f} "
-        f"(std {report.std_auc:.4f}), total {sum(report.seconds):.1f}s",
+        f"(std {report.std_auc:.4f}), total {seconds:.1f}s",
         file=sys.stderr,
     )
 
@@ -273,7 +268,7 @@ def _run_sweep(args: argparse.Namespace) -> None:
     reports = sweep(_experiment_config(args), args.param, values, _load_dataset(args, None))
     config = _config_echo(args, {"values": values})
     columns = ["param", "value", "mean_auc", "std_auc", "repeats"]
-    rows = [(args.param, v, r.mean_auc, r.std_auc, args.repeats) for v, r in zip(values, reports)]
+    rows = [(args.param, v, r.mean_auc, r.std_auc, len(r.aucs)) for v, r in zip(values, reports)]
     _write_atomic(args.output, _render(config, columns, rows, args.format))
 
 

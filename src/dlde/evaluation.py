@@ -12,7 +12,6 @@ and z-normalizing input is the caller's job.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -77,11 +76,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-run AUCs of one experiment plus aggregate statistics."""
+    """Per-run AUCs of one experiment, the run seeds that reproduce them,
+    and aggregate statistics."""
 
     aucs: tuple[float, ...]
     seeds: tuple[int, ...]
-    seconds: tuple[float, ...]
 
     @property
     def mean_auc(self) -> float:
@@ -117,19 +116,16 @@ def _runs(
 ) -> list[ExperimentReport]:
     """One report per value of ``param`` in ``values``, in order.
 
-    Run ``i`` fits each distinct value once, in first-occurrence order,
-    but all of an m sweep from one fit of ``max(values)`` trees: tree ``j``
-    draws only from streams of ``(run seed, j)``, so the scores of ``m``
-    trees are the running density sum after ``m`` of them, over ``m``.
+    Run ``i`` fits each distinct value once, but all of an m sweep from one
+    fit of ``max(values)`` trees: tree ``j`` draws only from streams of
+    ``(run seed, j)``, so the scores of ``m`` trees are the running density
+    sum after ``m`` of them, over ``m``.
     """
     repeats = require_int(config.repeats, 1, "repeats")
     params = {"m": config.m, "h": config.h, "slimit": config.slimit, "hlimit": config.hlimit}
     aucs: dict[int, list[float]] = {v: [] for v in values}
-    seconds: dict[int, list[float]] = {v: [] for v in values}
-    seeds: list[int] = []
-    for i in range(repeats):
-        run_seed = derive_seed(config.base_seed, RUN_STREAM, i)
-        started = time.perf_counter()
+    seeds = tuple(derive_seed(config.base_seed, RUN_STREAM, i) for i in range(repeats))
+    for run_seed in seeds:
         if param == "m":
             forest = fit(dataset, **{**params, "m": max(values)}, seed=run_seed)
             scored = ((m, acc / m) for m, acc in enumerate(_tree_sums(forest), 1) if m in aucs)
@@ -138,13 +134,8 @@ def _runs(
             scored = ((v, score(forest, dataset).scores) for v, forest in forests)
         for v, scores in scored:
             aucs[v].append(auc(scores, dataset.labels))
-            seconds[v].append(time.perf_counter() - started)
-        seeds.append(run_seed)
 
-    return [
-        ExperimentReport(aucs=tuple(aucs[v]), seeds=tuple(seeds), seconds=tuple(seconds[v]))
-        for v in values
-    ]
+    return [ExperimentReport(aucs=tuple(aucs[v]), seeds=seeds) for v in values]
 
 
 def sweep(
@@ -159,8 +150,7 @@ def sweep(
     resulting curve isolates the effect of the swept parameter.  Reports
     are in input order, and each one's AUCs equal :func:`run_experiment`'s
     with its value.  Each run fits ``max(values)`` trees once for ``m``,
-    and each distinct ``h`` once; ``seconds[i]`` runs from the start of
-    run ``i`` to its AUC for the value.
+    and each distinct ``h`` once.
 
     Raises:
         ConfigurationError: unknown parameter name, empty value list, or

@@ -108,6 +108,9 @@ MUTANTS = (
            '**{k: v for k, v in vars(args).items() if k not in ("output", "handler")}, **extra}',
            '**extra, **{k: v for k, v in vars(args).items() if k not in ("output", "handler")}}',
            "the artifact header's key order, and so every artifact byte"),
+    Mutant("sweep-repeats-column-from-values", "src/dlde/cli.py",
+           "r.std_auc, len(r.aucs))", "r.std_auc, len(values))",
+           "a sweep row's repeats column counts the swept values, not its AUCs"),
     Mutant("auc-ties-not-half", "src/dlde/evaluation.py",
            "(below.sum() + 0.5 * ties.sum())", "(below.sum() + 0.0 * ties.sum())",
            "tied scores across classes are not counted half"),

@@ -391,29 +391,26 @@ class TestEvaluate:
         )
         assert code == EXIT_OK
         config, rows = _read_csv(out)
-        assert list(rows[0]) == ["run", "seed", "auc"]  # no timing by default
+        assert list(rows[0]) == ["run", "seed", "auc"]
         assert len(rows) == 3
         assert 0.0 <= config["mean_auc"] <= 1.0
         assert config["repeats"] == 3 and config["anomaly_class"] == 1
 
-    def test_timing_flag_adds_seconds(self, tmp_path):
-        data = _write_dataset(tmp_path)
-        out = tmp_path / "report.csv"
-        code = main(
-            [
-                "evaluate",
-                "--input", str(data),
-                "--anomaly-class", "1",
-                "--repeats", "2",
-                "--trees", "2",
-                "--timing",
-                "--output", str(out),
-            ]
-        )
-        assert code == EXIT_OK
-        _, rows = _read_csv(out)
-        assert list(rows[0]) == ["run", "seed", "auc", "seconds"]
-        assert all(float(r["seconds"]) > 0 for r in rows)
+    def test_stderr_summary_agrees_with_the_header(self, tmp_path, capsys):
+        # labels unrelated to the rows, so the runs' AUCs differ
+        x = np.random.default_rng(5).normal(size=(20, 10))
+        data, out = tmp_path / "noise.csv", tmp_path / "report.csv"
+        write_labeled_file(LabeledDataset(x, (np.arange(20) % 3 == 0).astype(int)), data)
+        argv = ["evaluate", "--input", str(data), "--anomaly-class", "1", "--repeats", "4",
+                "--trees", "2", "--hashes", "2", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("evaluate:")]
+        summary = re.fullmatch(r"evaluate: 4 runs, mean AUC (\S+) \(std (\S+)\), total (\S+)s", line)
+        config, _ = _read_csv(out)
+        assert config["std_auc"] > 0
+        assert float(summary[1]) == pytest.approx(config["mean_auc"], abs=5e-5)
+        assert float(summary[2]) == pytest.approx(config["std_auc"], abs=5e-5)
+        assert float(summary[3]) >= 0.0
 
     def test_single_class_exits_metric(self, tmp_path):
         data = _write_dataset(tmp_path, anomalies=0)
@@ -638,9 +635,10 @@ _NOISE = ["--input", "noise.csv", "--anomaly-class", "1", "--hashes", "2", "--se
 # sha256 of each artifact, recorded when rows were dicts whose floats were
 # rendered with repr and the file was made by mkstemp (sweep-h and detect-tab:
 # when the header listed its keys by hand; every detect: when each tree began
-# drawing its leaves' functions; the noise goldens: when an h sweep ran each
-# value's runs in a loop of its own); the config echo names the input, so the
-# inputs are given relative to the working directory
+# drawing its leaves' functions; the noise sweeps: when an h sweep ran each
+# value's runs in a loop of its own; every evaluate: when the header lost its
+# "timing" entry, each row unchanged); the config echo names the input, so
+# the inputs are given relative to the working directory
 @pytest.mark.parametrize(
     "argv, digests",
     [
@@ -651,8 +649,8 @@ _NOISE = ["--input", "noise.csv", "--anomaly-class", "1", "--hashes", "2", "--se
          {"csv": "eea2c54878f45951829c7f537239e03812e22f3692a988dfa54bbc7255d11da8",
           "json": "e65a2986f624a8e0fd2b7a70073ec8a0379cad733f9f3743efd758de078c3c64"}),
         (["evaluate", *_PROTOCOL, "--repeats", "3", "--trees", "3"],
-         {"csv": "535d8e3b7d86881744ea9b0b82b7f6bb466e51ed79501a5e1dc110b183e1a686",
-          "json": "7361392dd918ca7334f00d7d82e69f1d2591f9f19ef272fb3576f2de3b6ad5a0"}),
+         {"csv": "f685380943ceba8808a88be134cfc3fd660f528b0470dbe93ecc46b338325fc0",
+          "json": "0cc3fb8937ad4407645dc0043d2c3edb7dc4240db9fd9414c56433ca301eb8a1"}),
         (["sweep", *_PROTOCOL, "--repeats", "2", "--param", "m", "--values", "1,3"],
          {"csv": "19f42217f5778621357a55fb546fef582cb6d44556ba05ac75dd10a93e331c8f",
           "json": "65827a840338cc7214fc747cf1daa04df00182dbcb5c4a043fb5bde022860649"}),
@@ -670,11 +668,11 @@ _NOISE = ["--input", "noise.csv", "--anomaly-class", "1", "--hashes", "2", "--se
           "json": "2ea195e48f9cad05cf777875676593a65ea3880c560610835478ce9628395818"}),
         (["evaluate", "--input", "data.csv", "--anomaly-class", "1", "--hashes", "2",
           "--seed", "4294967296", "--repeats", "2"],
-         {"csv": "38a611e7ed754cf2eb6f1851add2e506c6c87faa88cb80deae53a6a566241b6a",
-          "json": "33b3dd2e3a4a2456f5d2aa69a3a2f83089694ed9d307006d56142af7b586244f"}),
+         {"csv": "44b9890ebfb8488db0b14d9b0bbdb78e3ed023169138de41fd0d4e2b4a95bbbf",
+          "json": "30ef90361a24e50bb21f5e5184956a8d56c2e3e54a50c8e16a8c1ac32d9d91df"}),
         (["evaluate", *_NOISE, "--repeats", "3", "--trees", "3"],
-         {"csv": "2cff7a49e08d11b9e7617035a2c5500f56d61916f06e8dfad88d7570737f36ed",
-          "json": "2170c786fc5b8133fd953e6669d0a4a060c530a0a827eaa474bedad7d94033f9"}),
+         {"csv": "48fd4bb484712deff229d528212419c099e79922e7985f9f74ac6f3fe9820493",
+          "json": "ab3f81f3e8860bb65faa1aace5f0f4744d71b95c7826e803b796e1c943094061"}),
         (["sweep", *_NOISE, "--repeats", "3", "--param", "m", "--values", "4,1,4,2"],
          {"csv": "65e4b63c67c70396c13b2e8b78f44384d76dfae7cc11d3bb21a04b4f7f9eadaf",
           "json": "f1398c35928c5098a90efc4547ee1e507cbb349e020f655d1df5c0320617251c"}),
@@ -847,14 +845,19 @@ class TestParser:
             if command != "detect":
                 assert sub.get_default("repeats") == protocol.repeats
 
+    # for each subcommand, README names exactly the parser's flags: those of
+    # every subcommand, then those "`<cmd>` adds"
     def test_readme_common_flags(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        line = re.search(r"Flags of every subcommand:(.*?)\.\s", readme, re.S).group(1)
-        common = set.intersection(*(
-            {s for a in sub._actions for s in a.option_strings} for sub in _subparsers().values()
-        ))
-        named = set(re.findall(r"--[a-z-]+", line))
-        assert "--input" in named and named <= common
+
+        def named(intro):
+            return set(re.findall(r"--[a-z-]+", re.search(intro + r"(.*?)\.\s", readme, re.S)[1]))
+
+        common = named("Flags of every subcommand:")
+        assert "--input" in common
+        for command, sub in _subparsers().items():
+            flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            assert common | named(f"`{command}` adds") == flags, command
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:

@@ -14,6 +14,7 @@ scores that one; :func:`score` refuses a matrix with other values.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .density import row_densities
+from .density import row_densities, sort_columns
 from .errors import require_int
 from .hashing import LeafTables, build_leaf_tables, check_dataset, sample_hash_fn
 from .seeding import TREE_STREAM, spawn_rng
@@ -147,12 +148,15 @@ def score(forest: TSForest, dataset: LabeledDataset) -> ScoreVector:
 def _tree_sums(forest: TSForest) -> Iterator[np.ndarray]:
     """Row density sums over the first k trees, yielded in place for k = 1..m.
 
-    The one accumulation whose order decides the bits of every score.
+    The one accumulation whose order decides the bits of every score.  Each
+    column is sorted at most once, by the first leaf whose column search
+    needs it, and every tree shares that sort.
     """
     x = np.asfortranarray(forest.dataset.subsequences)  # each leaf block a slice
+    sorted_columns = functools.cache(lambda: sort_columns(x))
     acc = np.zeros(len(x))
     for model in forest.trees:
-        acc += row_densities(x, model.leaf_tables.values())
+        acc += row_densities(x, model.leaf_tables.values(), sorted_columns=sorted_columns)
         yield acc
 
 

@@ -80,6 +80,16 @@ MUTANTS = (
     Mutant("spread-bound-without-h", "src/dlde/density.py",
            "(high - low) * reach - h - slack", "(high - low) * reach - slack",
            "the lower bound on key boundaries can pass the true count, skipping a search"),
+    Mutant("column-edges-unmerged", "src/dlde/density.py",
+           "np.not_equal(totals[by_total[1:]], totals[by_total[:-1]], out=edge[1:])",
+           "edge.fill(True)",
+           "boundaries at one position in every column stay apart, as empty cells"),
+    Mutant("column-proof-strict", "src/dlde/density.py",
+           "(k <= above)", "(k < above)",
+           "a column position whose value has key k is not proven, so column searches fall back"),
+    Mutant("column-counts-unpadded", "src/dlde/density.py",
+           "at.T[first] - 1", "at.T[first]",
+           "each column's count before a cell edge takes the -inf ahead of its values"),
     Mutant("tn-any-for-all", "src/dlde/density.py",
            "member = member[:, :-1].all(axis=0)", "member = member[:, :-1].any(axis=0)",
            "TN is the union of the candidate sets, not their intersection"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dlde
 from dlde import LabeledDataset, fit, score
-from dlde.density import leaf_point_densities, row_densities
+from dlde.density import leaf_point_densities, row_densities, sort_columns
 from dlde.hashing import LeafTables, build_leaf_tables
 from dlde.tstree import Segment, TSTree, build_tstree, leaves
 
@@ -54,6 +54,26 @@ def _spy_bucket_keys(monkeypatch) -> list:
 
     monkeypatch.setattr(dlde.density, "bucket_keys", spy)
     return calls
+
+
+# The three ways a leaf finds its key changes, each forced, and the way
+# score chooses: (_BLOCK, _BOUNDARY_SHARE, whether the kernel gets the
+# sorted columns).  A budget of no elements makes every leaf too large to
+# hash in one block, so a leaf given its sorted columns searches them.
+WAYS = {
+    "column": (0, np.inf, True),
+    "merged": (dlde.density._BLOCK, np.inf, False),
+    "full": (dlde.density._BLOCK, -1.0, False),
+    "chosen": (dlde.density._BLOCK, dlde.density._BOUNDARY_SHARE, True),
+}
+
+
+def _force(monkeypatch, way: str, x) -> dict:
+    """Force ``way`` on the kernel; the keyword arguments it needs for ``x``."""
+    block, share, columns = WAYS[way]
+    monkeypatch.setattr(dlde.density, "_BLOCK", block)
+    monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", share)
+    return {"sorted_columns": lambda: sort_columns(x)} if columns else {}
 
 
 HAND_DATASET = LabeledDataset(
@@ -351,6 +371,23 @@ class TestOracleEquivalence:
         self._assert_leaves_match_bruteforce(x, model)
         np.testing.assert_array_equal(row_densities(x, model.leaf_tables.values()), 12.0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_column_search_matches_bruteforce(self, monkeypatch, seed):
+        # every leaf of a tree searches its sorted columns, and none gives up
+        rng = np.random.default_rng(600 + seed)
+        x = np.round(rng.normal(size=(30, 12)), 1)
+        model = fit(LabeledDataset(x, np.zeros(30, int)), m=1, h=3, seed=seed).trees[0]
+        columns = _force(monkeypatch, "column", x)
+        calls = _spy_bucket_keys(monkeypatch)
+        got = np.concatenate(
+            [leaf_point_densities(x, model.leaf_tables[s], **columns) for s in leaves(model.tree)],
+            axis=1,
+        )
+        assert [v.ndim for v, _, _ in calls] == [1, 3] * len(model.leaf_tables)
+        fns_by_leaf = {seg: tbl.fns for seg, tbl in model.leaf_tables.items()}
+        expected = tree_point_densities(x.tolist(), model.tree, fns_by_leaf)
+        np.testing.assert_array_equal(got, np.array(expected))
+
     def test_single_full_length_leaf_matches_bruteforce(self):
         # hlimit=0: one leaf over all d columns, the widest (U, L) gathers
         rng = np.random.default_rng(88)
@@ -405,28 +442,36 @@ class TestOracleEquivalence:
         assert min(h, max(1, budget(values, counts) // counts)) == counted
         np.testing.assert_array_equal(got, np.array(expected))
 
-    # On the boundary path one call hashes the extremes, and one more hashes,
-    # for each k in (lo_j, hi_j] of each function j in order, the sorted
-    # values either side of where function j's key first reaches k.
+    # On a search one call hashes the extremes, and one more hashes, for each
+    # k in (lo_j, hi_j] of each function j in order, the values either side
+    # of where function j's key first reaches k: in the leaf's sorted values,
+    # or in each of its sorted columns between -inf and inf.
     @pytest.mark.parametrize("h", [1, 10])
-    def test_boundary_path_hashes_each_boundary_once(self, monkeypatch, h):
+    def test_boundary_path_hashes_each_boundary_once(self, h):
         x, fns = self._ties(h)
-        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", np.inf)
-        calls = _spy_bucket_keys(monkeypatch)
         segment = Segment(1, x.shape[1])
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
-        got = leaf_point_densities(x, LeafTables(segment, fns))
         ordered = np.sort(x, axis=None)
         bounds = [(fn, k) for fn in fns for k in range(hash_value(fn, ordered[0]) + 1,
                                                          hash_value(fn, ordered[-1]) + 1)]
-        shapes = [(v.shape, o.shape) for v, o, _ in calls]
-        assert shapes == [((2,), (h, 1)), ((2, len(bounds)), (len(bounds),))]
-        pairs, offsets, widths = calls[1]
-        assert list(zip(offsets.tolist(), widths.tolist())) == [(fn.offset, fn.width) for fn, _ in bounds]
-        for (before, after), (fn, k) in zip(pairs.T.tolist(), bounds):
-            below = [v for v in ordered.tolist() if hash_value(fn, v) < k]
-            assert (before, after) == (below[-1], ordered[len(below)])
-        np.testing.assert_array_equal(got, np.array(expected))
+        for way, searched in (("merged", [ordered]), ("column", list(np.sort(x, axis=0).T))):
+            with pytest.MonkeyPatch.context() as mp:
+                columns = _force(mp, way, x)
+                calls = _spy_bucket_keys(mp)
+                got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
+            shapes = [(v.shape, o.shape) for v, o, _ in calls]
+            pairs = (2, len(searched), len(bounds)) if columns else (2, len(bounds))
+            assert shapes == [((2,), (h, 1)), (pairs, (len(bounds),))]
+            pairs, offsets, widths = calls[1]
+            assert list(zip(offsets.tolist(), widths.tolist())) == [
+                (fn.offset, fn.width) for fn, _ in bounds
+            ]
+            for values, found in zip(searched, pairs.reshape(2, len(searched), -1).transpose(1, 2, 0)):
+                values = [-np.inf, *values.tolist(), np.inf]
+                for (before, after), (fn, k) in zip(found.tolist(), bounds):
+                    below = 1 + sum(hash_value(fn, v) < k for v in values[1:-1])
+                    assert (before, after) == (values[below - 1], values[below])
+            np.testing.assert_array_equal(got, np.array(expected))
 
     @staticmethod
     def _ties(h):
@@ -501,14 +546,18 @@ def _two_values(a: float, b: float, each: int = 8) -> np.ndarray:
 
 def _path(calls, size: int) -> str:
     """The path the kernel's bucket_keys calls took through a leaf of
-    ``size`` values: ``"search"`` hashes the extremes, then one (2, K) block
-    of values either side of K boundaries; ``"skipped"`` hashes every value
-    from the first call, the spread having ruled the search out; and
+    ``size`` values, named by the call that decided its key changes.
+    ``"column"`` ends with one (2, L, K) block of the values either side of
+    K boundaries in each of its L sorted columns, and ``"search"`` with one
+    (2, K) block of values either side of K boundaries in its sorted values;
+    each first hashes the extremes.  ``"skipped"`` hashes every value from
+    the first call, the spread having ruled the search out; and
     ``"gave_up"`` hashes the extremes, then every value.  In a leaf of at
     most two values the extremes are every value, so a lone call marks the
     skip there."""
-    if len(calls) == 2 and calls[1][0].ndim == 2:
-        return "search"
+    last = calls[-1][0].ndim
+    if last > 1:
+        return {3: "column", 2: "search"}[last]
     if calls[0][0].size == size and (size > 2 or len(calls) == 1):
         return "skipped"
     return "gave_up"
@@ -525,11 +574,11 @@ class TestBoundaryHashing:
         # a value one float from the edge 0 is subnormal, and its key's
         # division underflows on every path; nothing else may warn
         with np.errstate(all="raise", under="ignore"), pytest.MonkeyPatch.context() as mp:
-            for share in (np.inf, dlde.density._BOUNDARY_SHARE, -1.0):
-                mp.setattr(dlde.density, "_BOUNDARY_SHARE", share)
+            for way in WAYS:
+                columns = _force(mp, way, x)
                 calls = _spy_bucket_keys(mp)
-                got[share] = leaf_point_densities(x, tables).tobytes()
-                note(f"share {share}: path {_path(calls, x.size)}")
+                got[way] = leaf_point_densities(x, tables, **columns).tobytes()
+                note(f"{way}: path {_path(calls, x.size)}")
         assert len(set(got.values())) == 1
 
     # The spread bound may skip only a search that would give up on its
@@ -590,16 +639,76 @@ class TestBoundaryHashing:
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         np.testing.assert_array_equal(got, np.array(expected))
 
-    def test_unproved_position_falls_back(self, monkeypatch):
+    def test_unproved_position_falls_back(self):
         # values on bucket edges and one float either side: the search lands
         # a float off the key change at some boundary, the proof fails there,
-        # and the leaf is hashed in full, with the same densities
+        # and the leaf is hashed in full, with the same densities.  A failed
+        # column search leaves the leaf to the merged search, which fails
+        # alike: the neighbours of a value in its column lie no nearer to it
+        # than its neighbours among all the leaf's values.  A budget of no
+        # elements hashes the 3 functions one a call.
         x, fns = _on_bucket_edges()
         segment = Segment(1, x.shape[1])
-        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", np.inf)
+        expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
+        for way, hashed in (("merged", [1, 2, 1]), ("column", [1, 3, 1, 2, 1, 1, 1])):
+            with pytest.MonkeyPatch.context() as mp:
+                columns = _force(mp, way, x)
+                calls = _spy_bucket_keys(mp)
+                got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
+            assert [v.ndim for v, _, _ in calls] == hashed
+            np.testing.assert_array_equal(got, np.array(expected))
+
+    # (values, the share, the path taken) of a leaf given its sorted columns
+    # and too large for one block.  The share counts boundaries a row here.
+    # The functions' bucket edges are binary fractions, at least 0.0125 from
+    # every value of one decimal, so no proof fails on a rounded key.
+    EXACT = hash_fns((0.25, 0.0), (0.5, 0.125))
+    COLUMN_PATHS = {
+        "equal_in_adjacent_columns": (
+            np.round(np.random.default_rng(5).normal(size=(9, 2)), 1)[:, [0, 0, 1]], np.inf, "column"
+        ),
+        "ties_across_columns": (
+            np.random.default_rng(6).choice([-0.4, 0.1, 0.35, 0.9], size=(10, 4)), np.inf, "column"
+        ),
+        "one_column": (np.round(np.random.default_rng(7).normal(size=(12, 1)), 1), np.inf, "column"),
+        "all_equal": (np.full((6, 5), 0.4), np.inf, "column"),
+        # 4 rows, 16 values, 2 boundaries: within 1/8 of the values, not of the rows
+        "share_per_row": (_two_values(0.0, 1.0), dlde.density._BOUNDARY_SHARE, "search"),
+    }
+
+    @pytest.mark.parametrize("case", COLUMN_PATHS)
+    def test_column_path_and_densities(self, monkeypatch, case):
+        x, share, path = self.COLUMN_PATHS[case]
+        fns = self.EXACT if path == "column" else self.HALF
+        segment = Segment(1, x.shape[1])
+        columns = _force(monkeypatch, "column", x)
+        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", share)
         calls = _spy_bucket_keys(monkeypatch)
-        got = leaf_point_densities(x, LeafTables(segment, fns))
-        assert [v.ndim for v, _, _ in calls] == [1, 2, 1]
+        with np.errstate(all="raise"):
+            got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
+        assert _path(calls, x.size) == path
+        expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
+        np.testing.assert_array_equal(got, np.array(expected))
+
+    def test_unproved_in_one_column_falls_back(self, monkeypatch):
+        # Under width 0.3 and offset 0.1 the search looks for key 2 at
+        # 2 * 0.3 - 0.1 = 0.5, but the float below it already has key 2.
+        # Only column 0 holds that float, the other columns hold values
+        # inside buckets, so the proof fails in column 0 alone.
+        fns = hash_fns((0.3, 0.1))
+        edge = np.nextafter(0.5, 0.0)
+        assert edge < 2 * 0.3 - 0.1 and hash_value(fns[0], edge) == 2
+        inside = np.array([0.05, 0.35, 0.65, 0.95])  # keys 0 to 3
+        x = np.stack([[0.05, 0.35, edge, 0.95], inside, inside[::-1]], axis=1)
+        segment = Segment(1, 3)
+        columns = _force(monkeypatch, "column", x)
+        calls = _spy_bucket_keys(monkeypatch)
+        got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
+        assert [v.ndim for v, _, _ in calls] == [1, 3, 1, 2, 1]
+        before, after = dlde.hashing.bucket_keys(*calls[1])
+        k = np.arange(1, 4)  # the boundaries between keys 0 and 3
+        proved = (before < k) & (k <= after)
+        assert proved.tolist() == [[True, False, True], [True] * 3, [True] * 3]
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         np.testing.assert_array_equal(got, np.array(expected))
 

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dlde.density
+import dlde.forest
 import dlde.hashing
-from dlde import ConfigurationError, LabeledDataset, fit, score
-from dlde.density import leaf_point_densities
+from dlde import ConfigurationError, ExperimentConfig, LabeledDataset, fit, score, sweep
+from dlde.density import leaf_point_densities, sort_columns
 from dlde.forest import TreeModel, TSForest, _tree_sums, anomaly_scores
 from dlde.hashing import HASH_FN, LeafTables, bucket_keys, sample_hash_fn
 from dlde.tstree import Segment, leaves
@@ -67,14 +68,15 @@ class TestFit:
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
         # fit proves the key range from the dataset's peak and hashes
-        # nothing.  score, leaf by leaf, hashes on one of two paths.  Under a
-        # negative share the leaf's spread alone rules the boundary search
-        # out, and the full-hash path hashes the leaf's sorted values under
-        # each function exactly once, in order, in blocks of (g, 1) offset
-        # and width columns.  On the boundary path, one call hashes the
-        # leaf's two extremes under all its functions, and one more the two
-        # values around every key boundary between them.  Nothing else is
-        # hashed.
+        # nothing.  score, leaf by leaf, hashes on one of three paths.  Under
+        # a negative share the leaf's spread alone rules both searches out,
+        # and the full-hash path hashes the leaf's sorted values under each
+        # function exactly once, in order, in blocks of (g, 1) offset and
+        # width columns.  On a search, one call hashes the leaf's two
+        # extremes under all its functions, and one more the two values
+        # around every key boundary between them, in the leaf's sorted
+        # values or, for a leaf over the budget, in each of its sorted
+        # columns.  Nothing else is hashed.
         calls = []
 
         def counting(values, offset, width):
@@ -100,8 +102,9 @@ class TestFit:
 
         # a leaf of at most 9 * 16 values takes its 10 functions in one call;
         # a budget of one element takes them one call each
+        default = dlde.density._BLOCK
         monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", -1.0)
-        for budget, per_leaf in ((dlde.density._BLOCK, 1), (1, 10)):
+        for budget, per_leaf in ((default, 1), (1, 10)):
             monkeypatch.setattr(dlde.density, "_BLOCK", budget)
             calls.clear()
             score(forest, ds)
@@ -117,21 +120,29 @@ class TestFit:
                     assert offset.shape == width.shape == (10 // per_leaf, 1)
                     np.testing.assert_array_equal(values, block)
 
+        # every leaf is within the default budget, and over a budget of one
         monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", np.inf)
-        calls.clear()
-        score(forest, ds)
-        assert len(calls) == 2 * len(tables)
-        for i, (leaf, block) in enumerate(zip(tables, blocks)):
-            assert_extremes(calls[2 * i], leaf, block)
-            pairs, offset, width = calls[2 * i + 1]
-            spans = [hash_value(fn, block[-1]) - hash_value(fn, block[0]) for fn in leaf.fns]
-            assert pairs.shape == (2, sum(spans))
-            assert list(zip(offset.tolist(), width.tolist())) == [
-                (fn.offset, fn.width) for fn, span in zip(leaf.fns, spans) for _ in range(span)
-            ]
-            # each pair is two neighbours in the leaf's sorted values
-            at = block.searchsorted(pairs[1])
-            np.testing.assert_array_equal(block[at - 1], pairs[0])
+        for budget in (default, 1):
+            monkeypatch.setattr(dlde.density, "_BLOCK", budget)
+            calls.clear()
+            score(forest, ds)
+            assert len(calls) == 2 * len(tables)
+            for i, (leaf, block) in enumerate(zip(tables, blocks)):
+                assert_extremes(calls[2 * i], leaf, block)
+                pairs, offset, width = calls[2 * i + 1]
+                spans = [hash_value(fn, block[-1]) - hash_value(fn, block[0]) for fn in leaf.fns]
+                searched = [block] if budget == default else list(
+                    np.sort(x[:, leaf.segment.columns], axis=0).T
+                )
+                assert pairs.shape == (2, *[len(searched)] * (budget != default), sum(spans))
+                assert list(zip(offset.tolist(), width.tolist())) == [
+                    (fn.offset, fn.width) for fn, span in zip(leaf.fns, spans) for _ in range(span)
+                ]
+                # each pair is two neighbours in the sorted values searched
+                for values, found in zip(searched, pairs.reshape(2, len(searched), -1).swapaxes(0, 1)):
+                    values = np.concatenate([[-np.inf], values, [np.inf]])
+                    at = values.searchsorted(found[1])
+                    np.testing.assert_array_equal(values[at - 1], found[0])
 
     def test_too_small_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(2), 4, 8)
@@ -427,6 +438,55 @@ def _adc_scale_300x100() -> LabeledDataset:
     triangle = np.abs(t % 4.0 - 2.0) - 1.0
     x = np.round(2048.0 + 400.0 * triangle + rng.uniform(-70.0, 70.0, size=(300, 100)))
     return LabeledDataset(x, np.zeros(300, int))
+
+
+class TestColumnSort:
+    """A score, or an m sweep, sorts the fitted columns once, and only when
+    some leaf searches them."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> tuple[list, list]:
+        """The matrices sorted, and the ndim of every value block hashed."""
+        built, hashed = [], []
+
+        def sorting(x):
+            built.append(x.shape)
+            return sort_columns(x)
+
+        def hashing(values, offset, width):
+            hashed.append(np.ndim(values))
+            return bucket_keys(values, offset, width)
+
+        monkeypatch.setattr(dlde.forest, "sort_columns", sorting)
+        monkeypatch.setattr(dlde.density, "bucket_keys", hashing)
+        return built, hashed
+
+    def test_sorted_once_when_a_leaf_searches_columns(self, monkeypatch):
+        # 2000 unit-scale rows and h = 10: every leaf is over the budget, and
+        # some span few key boundaries for their rows
+        ds = random_dataset(np.random.default_rng(3), 2000, 16, anomalies=20)
+        forest = fit(ds, m=3, h=10, seed=0)
+        built, hashed = self._spy(monkeypatch)
+        scores = score(forest, ds).scores
+        assert built == [(2000, 16)] and 3 in hashed
+        built.clear()
+        sweep(ExperimentConfig(m=3, h=10, repeats=1), "m", [1, 2, 3], ds)
+        assert built == [(2000, 16)]
+        # over a budget no leaf reaches, no leaf searches its columns
+        built.clear()
+        monkeypatch.setattr(dlde.density, "_BLOCK", 2**62)
+        assert score(forest, ds).scores.tobytes() == scores.tobytes()
+        assert built == []
+
+    def test_never_sorted_at_adc_scale(self, monkeypatch):
+        # 2048 + 40 N(0, 1): the spread of every leaf crosses far more key
+        # boundaries than it has rows, so no leaf searches its columns
+        x = 2048.0 + 40.0 * np.random.default_rng(4).normal(size=(2000, 16))
+        ds = LabeledDataset(x, np.zeros(2000, int))
+        forest = fit(ds, m=3, h=10, seed=0)
+        built, hashed = self._spy(monkeypatch)
+        score(forest, ds)
+        assert built == [] and 3 not in hashed
 
 
 def _per_leaf_fns(forest: TSForest, seed: int, h: int = 10) -> TSForest:

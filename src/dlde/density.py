@@ -17,25 +17,22 @@ the value grows, so in a leaf's sorted values one key tuple is one run, a
 of its :data:`~dlde.hashing.HASH_FN` row, (h, 1) columns of offsets and
 widths that hash values under all h at once.  It needs, for every cell
 edge, the count of each column's values before it, and for every
-function, the edges where its key changes.  It finds them in one of three
-ways, all of which give the same integers:
+function, the edges where its key changes.  It finds them in one of two
+ways, which give the same integers:
 
 - *Column search.*  A leaf too large to hash in one ``_BLOCK``, whose key
-  boundaries number at most ``_BOUNDARY_SHARE`` of its rows, looks up
+  boundaries number at most ``_BOUNDARY_SHARE`` of its values, looks up
   each boundary's value once in each of its columns, sorted once per
   score by :func:`sort_columns` and shared by every tree.  The positions
   found are the counts, so the leaf sorts, hashes and counts nothing of
   its own beyond the values either side of each position.
-- *Merged search.*  Otherwise the leaf sorts its values.  Where it spans
-  at most ``_BOUNDARY_SHARE`` key boundaries a value, it hashes only its
-  two extremes and searches its sorted values for each boundary.
-- *Full hashing.*  Otherwise, or when a search cannot prove a position
-  with the key formula, it hashes every sorted value, in blocks of
-  functions that fit ``_BLOCK`` elements.
+- *Full hashing.*  Every other leaf, and one whose search cannot prove a
+  position with the key formula, sorts its values and hashes every one,
+  in blocks of functions that fit ``_BLOCK`` elements.
 
-Both searches first bound the number of boundaries from below by the
-spread of the values, and skip the search before hashing anything where
-that bound alone is over their limit.  Which way a leaf takes depends on
+The search first bounds the number of boundaries from below by the
+spread of the values, and is skipped before anything is hashed where
+that bound alone is over its limit.  Which way a leaf takes depends on
 its size and values only.  A key's count in a column is then a difference
 of cumulative cell counts, read in blocks of functions that fit
 ``_BLOCK``.  The sums are exact integers, so neither the way nor the
@@ -54,7 +51,7 @@ from .tstree import Segment
 __all__ = ["leaf_point_densities", "row_densities", "sort_columns"]
 
 _BLOCK = 2**14  # elements of a block's (g, values) keys or (g, cells + 1, L) sums
-_BOUNDARY_SHARE = 1 / 8  # a search takes at most this many key boundaries a value, or a row
+_BOUNDARY_SHARE = 1 / 8  # a search takes at most this many key boundaries a value
 _EXACT_KEYS = 2.0**52  # and keys below this magnitude
 
 # () -> sort_columns of the scored matrix, built by the first call
@@ -94,8 +91,8 @@ def leaf_point_densities(
         x: The full (N, d) matrix being scored; the counts are its own.
         tables: The leaf's segment and hash functions.
         sorted_columns: Returns :func:`sort_columns` of ``x``, called only
-            by a leaf that takes the column search; ``None`` leaves every
-            leaf to the merged search or full hashing.
+            by a leaf that takes the column search; ``None`` hashes every
+            leaf's values in full.
 
     Returns:
         (N, L) array, L the segment length; entry (k, i) is the density of
@@ -114,13 +111,11 @@ def leaf_point_densities(
 
     # changes[j, p]: function j's key differs between sorted values p - 1
     # and p, and is true at both ends; cells end wherever any key changes.
-    changes = _boundary_changes(ordered, offsets, widths)
-    if changes is None:  # hash every sorted value
-        changes = np.ones((h, ordered.size + 1), dtype=bool)
-        g = max(1, _BLOCK // ordered.size)
-        for j in range(0, h, g):
-            keys = bucket_keys(ordered, offsets[j : j + g], widths[j : j + g])
-            np.not_equal(keys[:, 1:], keys[:, :-1], out=changes[j : j + g, 1:-1])
+    changes = np.ones((h, ordered.size + 1), dtype=bool)
+    g = max(1, _BLOCK // ordered.size)
+    for j in range(0, h, g):
+        keys = bucket_keys(ordered, offsets[j : j + g], widths[j : j + g])
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=changes[j : j + g, 1:-1])
     edges = changes.any(axis=0).nonzero()[0]
     sizes = edges[1:] - edges[:-1]
 
@@ -195,41 +190,13 @@ def _key_boundaries(
     return fn, k, offsets[fn, 0], widths[fn, 0]
 
 
-def _boundary_changes(
-    ordered: np.ndarray, offsets: np.ndarray, widths: np.ndarray
-) -> np.ndarray | None:
-    """The key changes of :func:`leaf_point_densities` from a search of the
-    sorted values ``ordered``, or ``None`` where :func:`_key_boundaries`
-    gives none within ``_BOUNDARY_SHARE`` of the values, or one position is
-    not proven.
-
-    Function j's key first reaches k at about the first value at or above
-    k * w_j - o_j.  The key formula on that value and the one before it
-    proves the position exactly.
-    """
-    found = _key_boundaries(
-        float(ordered[0]), float(ordered[-1]), offsets, widths, _BOUNDARY_SHARE * ordered.size
-    )
-    if found is None:
-        return None
-    fn, k, offset, width = found
-    at = ordered[1:-1].searchsorted(k * width - offset) + 1  # in 1..size - 1
-    before, after = bucket_keys(ordered.take(at - [[1], [0]]), offset, width)
-    if not ((before < k) & (k <= after)).all():
-        return None
-    changes = np.zeros((len(offsets), ordered.size + 1), dtype=bool)
-    changes[:, 0] = changes[:, -1] = True
-    changes[fn, at] = True
-    return changes
-
-
 def _column_search(
     x: np.ndarray, segment: Segment, offsets: np.ndarray, widths: np.ndarray,
     sorted_columns: SortedColumns,
 ) -> np.ndarray | None:
     """:func:`leaf_point_densities` from a search of each column's sorted
     values, or ``None`` where :func:`_key_boundaries` gives none within
-    ``_BOUNDARY_SHARE`` of the rows, or one position is not proven.
+    ``_BOUNDARY_SHARE`` of the leaf's values, or one position is not proven.
 
     Column i has, before function j's key boundary k, the values whose key
     is below k.  Those sets are prefixes of the value line, nested alike in
@@ -240,7 +207,8 @@ def _column_search(
     n = x.shape[0]
     block = x[:, segment.columns]  # its own extremes: a leaf ruled out sorts nothing
     found = _key_boundaries(
-        float(block.min()), float(block.max()), offsets, widths, _BOUNDARY_SHARE * n
+        float(block.min()), float(block.max()), offsets, widths,
+        _BOUNDARY_SHARE * n * segment.length,
     )
     if found is None:
         return None
@@ -286,7 +254,8 @@ def row_densities(
     Row ``k``'s density is the mean of its d point densities.  Unchecked:
     ``x`` is the fitted matrix, and the segments of ``leaf_tables``, one
     tree's leaves, partition its columns.  ``sorted_columns`` is passed to
-    every :func:`leaf_point_densities` call.
+    every :func:`leaf_point_densities` call; ``None`` hashes every leaf in
+    full.
     """
     n, d = x.shape
     # Leaf blocks fill a C-ordered (N, d) per-point density matrix, each

@@ -10,9 +10,10 @@ this table's own check::
     python tests/mutants.py [--only NAME]
 
 It first runs the unmutated copy, which must pass, then prints each mutant
-as killed or survived with its seconds, and exits 1 if any survives.  A
-mutant is a fault only if some input tells it apart; one found equivalent
-is removed, not kept as a known survivor.
+as killed or survived with its seconds, and under a killed one the node id
+of the test that killed it, the first to fail.  It exits 1 if any mutant
+survives.  A mutant is a fault only if some input tells it apart; one found
+equivalent is removed, not kept as a known survivor.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import NamedTuple
 
@@ -87,6 +89,9 @@ MUTANTS = (
     Mutant("column-proof-strict", "src/dlde/density.py",
            "(k <= above)", "(k < above)",
            "a column position whose value has key k is not proven, so column searches fall back"),
+    Mutant("column-limit-per-row", "src/dlde/density.py",
+           "_BOUNDARY_SHARE * n * segment.length", "_BOUNDARY_SHARE * n",
+           "the column search takes at most one key boundary per 8 rows, not per 8 values"),
     Mutant("column-counts-unpadded", "src/dlde/density.py",
            "at.T[first] - 1", "at.T[first]",
            "each column's count before a cell edge takes the -inf ahead of its values"),
@@ -95,7 +100,7 @@ MUTANTS = (
            "TN is the union of the candidate sets, not their intersection"),
     Mutant("boundary-share-quarter", "src/dlde/density.py",
            "_BOUNDARY_SHARE = 1 / 8", "_BOUNDARY_SHARE = 1 / 4",
-           "leaves with more key boundaries take the boundary search"),
+           "leaves with up to one key boundary per 4 values take the column search"),
     Mutant("labels-cast-first", "src/dlde/dataset.py",
            "y = np.asarray(self.labels)  # checked as given, then cast",
            "y = np.asarray(self.labels).astype(np.int64)",
@@ -163,10 +168,10 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def suite_fails(mutant: Mutant | None) -> tuple[bool, float]:
+def suite_fails(mutant: Mutant | None) -> tuple[str | None, float]:
     """Run ``pytest -x -q tests`` on a fresh copy of the working tree with
-    ``mutant`` applied (none for the unmutated copy); whether it failed, and
-    the seconds it took.
+    ``mutant`` applied (none for the unmutated copy); the node id of the
+    test that failed, ``None`` if none did, and the seconds it took.
 
     The copy's own ``tests/test_mutants.py`` is left out: it checks that each
     old text is in the source, so it fails on every mutated copy and would
@@ -178,15 +183,40 @@ def suite_fails(mutant: Mutant | None) -> tuple[bool, float]:
         if mutant is not None:
             apply(mutant, tree)
         env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+        report = work / "report.xml"
         started = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--ignore=tests/test_mutants.py", "tests"],
+             f"--junitxml={report}", "--ignore=tests/test_mutants.py", "tests"],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        return proc.returncode != 0, time.perf_counter() - started
+        seconds = time.perf_counter() - started
+        return (first_failure(report, tree) if proc.returncode != 0 else None), seconds
     finally:
         shutil.rmtree(work, ignore_errors=True)
+
+
+def first_failure(report: Path, tree: Path) -> str:
+    """The node id of the first test that failed or errored in the JUnit XML
+    ``report`` of a run in ``tree``, or a note where the run wrote none.
+
+    JUnit names a test by a dotted class name, the file's path and then
+    its classes, and the test's own name; the file is the longest prefix
+    of that path that names a file in ``tree``."""
+    try:
+        cases = ET.parse(report).iter("testcase")
+    except (OSError, ET.ParseError):
+        return "(no test report)"
+    for case in cases:
+        if case.find("failure") is None and case.find("error") is None:
+            continue
+        parts = case.get("classname", "").split(".")
+        for i in range(len(parts), 0, -1):
+            path = "/".join(parts[:i]) + ".py"
+            if (tree / path).is_file():
+                return "::".join([path, *parts[i:], case.get("name", "")])
+        return case.get("name", "")
+    return "(no failed test in the report)"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -198,15 +228,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"no mutant named {args.only!r}")
 
     failed, seconds = suite_fails(None)
-    if failed:
-        print(f"the unmutated suite fails ({seconds:.1f}s); no mutant can be judged")
+    if failed is not None:
+        print(f"the unmutated suite fails at {failed} ({seconds:.1f}s); "
+              "no mutant can be judged")
         return 2
     survived = []
     for mutant in chosen:
-        killed, seconds = suite_fails(mutant)
-        print(f"{'killed' if killed else 'SURVIVED':8} {seconds:6.1f}s  {mutant.name}: "
+        killer, seconds = suite_fails(mutant)
+        print(f"{'SURVIVED' if killer is None else 'killed':8} {seconds:6.1f}s  {mutant.name}: "
               f"{mutant.breaks}", flush=True)
-        if not killed:
+        if killer is not None:
+            print(f"{'':17}by {killer}", flush=True)
+        else:
             survived.append(mutant.name)
     print(f"{len(chosen) - len(survived)} killed, {len(survived)} survived")
     return 1 if survived else 0

@@ -56,15 +56,15 @@ def _spy_bucket_keys(monkeypatch) -> list:
     return calls
 
 
-# The three ways a leaf finds its key changes, each forced, and the way
+# The two ways a leaf finds its key changes, each forced, and the way
 # score chooses: (_BLOCK, _BOUNDARY_SHARE, whether the kernel gets the
 # sorted columns).  A budget of no elements makes every leaf too large to
 # hash in one block, so a leaf given its sorted columns searches them.
+SHARE = dlde.density._BOUNDARY_SHARE
 WAYS = {
     "column": (0, np.inf, True),
-    "merged": (dlde.density._BLOCK, np.inf, False),
     "full": (dlde.density._BLOCK, -1.0, False),
-    "chosen": (dlde.density._BLOCK, dlde.density._BOUNDARY_SHARE, True),
+    "chosen": (dlde.density._BLOCK, SHARE, True),
 }
 
 
@@ -413,9 +413,7 @@ class TestOracleEquivalence:
     # sorted values when hashing, g blocks of (cells + 1) * L counts when
     # reading runs.  Budgets set from the leaf force each block shape: g = 1;
     # g = 3 of h = 10, so the last block is short; g = h; h = 1; cells * L
-    # over the budget.  A negative boundary share keeps the leaf on that
-    # path: its spread alone rules the boundary search out, so no call
-    # hashes its two extremes.
+    # over the budget.  Without its sorted columns the leaf takes that path.
     @pytest.mark.parametrize(
         "h, budget, hashed, counted",
         [
@@ -432,7 +430,6 @@ class TestOracleEquivalence:
         keys = np.stack([hash_keys(fn, x) for fn in fns], axis=-1).reshape(-1, h)
         values, counts = x.size, (len(np.unique(keys, axis=0)) + 1) * x.shape[1]
         monkeypatch.setattr(dlde.density, "_BLOCK", budget(values, counts))
-        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", -1.0)
         calls = _spy_bucket_keys(monkeypatch)
         segment = Segment(1, x.shape[1])
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
@@ -444,34 +441,31 @@ class TestOracleEquivalence:
 
     # On a search one call hashes the extremes, and one more hashes, for each
     # k in (lo_j, hi_j] of each function j in order, the values either side
-    # of where function j's key first reaches k: in the leaf's sorted values,
-    # or in each of its sorted columns between -inf and inf.
+    # of where function j's key first reaches k in each of the leaf's sorted
+    # columns between -inf and inf.
     @pytest.mark.parametrize("h", [1, 10])
-    def test_boundary_path_hashes_each_boundary_once(self, h):
+    def test_boundary_path_hashes_each_boundary_once(self, monkeypatch, h):
         x, fns = self._ties(h)
         segment = Segment(1, x.shape[1])
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         ordered = np.sort(x, axis=None)
         bounds = [(fn, k) for fn in fns for k in range(hash_value(fn, ordered[0]) + 1,
                                                          hash_value(fn, ordered[-1]) + 1)]
-        for way, searched in (("merged", [ordered]), ("column", list(np.sort(x, axis=0).T))):
-            with pytest.MonkeyPatch.context() as mp:
-                columns = _force(mp, way, x)
-                calls = _spy_bucket_keys(mp)
-                got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
-            shapes = [(v.shape, o.shape) for v, o, _ in calls]
-            pairs = (2, len(searched), len(bounds)) if columns else (2, len(bounds))
-            assert shapes == [((2,), (h, 1)), (pairs, (len(bounds),))]
-            pairs, offsets, widths = calls[1]
-            assert list(zip(offsets.tolist(), widths.tolist())) == [
-                (fn.offset, fn.width) for fn, _ in bounds
-            ]
-            for values, found in zip(searched, pairs.reshape(2, len(searched), -1).transpose(1, 2, 0)):
-                values = [-np.inf, *values.tolist(), np.inf]
-                for (before, after), (fn, k) in zip(found.tolist(), bounds):
-                    below = 1 + sum(hash_value(fn, v) < k for v in values[1:-1])
-                    assert (before, after) == (values[below - 1], values[below])
-            np.testing.assert_array_equal(got, np.array(expected))
+        columns = _force(monkeypatch, "column", x)
+        calls = _spy_bucket_keys(monkeypatch)
+        got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
+        shapes = [(v.shape, o.shape) for v, o, _ in calls]
+        assert shapes == [((2,), (h, 1)), ((2, x.shape[1], len(bounds)), (len(bounds),))]
+        pairs, offsets, widths = calls[1]
+        assert list(zip(offsets.tolist(), widths.tolist())) == [
+            (fn.offset, fn.width) for fn, _ in bounds
+        ]
+        for column, found in zip(np.sort(x, axis=0).T, pairs.transpose(1, 2, 0)):
+            values = [-np.inf, *column.tolist(), np.inf]
+            for (before, after), (fn, k) in zip(found.tolist(), bounds):
+                below = 1 + sum(hash_value(fn, v) < k for v in values[1:-1])
+                assert (before, after) == (values[below - 1], values[below])
+        np.testing.assert_array_equal(got, np.array(expected))
 
     @staticmethod
     def _ties(h):
@@ -544,23 +538,17 @@ def _two_values(a: float, b: float, each: int = 8) -> np.ndarray:
     return np.array([a, b] * each).reshape(-1, 4)
 
 
-def _path(calls, size: int) -> str:
-    """The path the kernel's bucket_keys calls took through a leaf of
-    ``size`` values, named by the call that decided its key changes.
+def _path(calls, h: int) -> str:
+    """The path the kernel's bucket_keys calls took through a leaf of ``h``
+    functions, named by the call that decided its key changes.
     ``"column"`` ends with one (2, L, K) block of the values either side of
-    K boundaries in each of its L sorted columns, and ``"search"`` with one
-    (2, K) block of values either side of K boundaries in its sorted values;
-    each first hashes the extremes.  ``"skipped"`` hashes every value from
-    the first call, the spread having ruled the search out; and
-    ``"gave_up"`` hashes the extremes, then every value.  In a leaf of at
-    most two values the extremes are every value, so a lone call marks the
-    skip there."""
-    last = calls[-1][0].ndim
-    if last > 1:
-        return {3: "column", 2: "search"}[last]
-    if calls[0][0].size == size and (size > 2 or len(calls) == 1):
-        return "skipped"
-    return "gave_up"
+    K boundaries in each of its L sorted columns, after a call that hashes
+    the extremes.  ``"skipped"`` hashes only every value, each function
+    once, the spread having ruled the search out; and ``"gave_up"`` hashes
+    the extremes first, then every value."""
+    if calls[-1][0].ndim == 3:
+        return "column"
+    return "skipped" if sum(len(offset) for _, offset, _ in calls) == h else "gave_up"
 
 
 class TestBoundaryHashing:
@@ -578,7 +566,7 @@ class TestBoundaryHashing:
                 columns = _force(mp, way, x)
                 calls = _spy_bucket_keys(mp)
                 got[way] = leaf_point_densities(x, tables, **columns).tobytes()
-                note(f"{way}: path {_path(calls, x.size)}")
+                note(f"{way}: path {_path(calls, len(fns))}")
         assert len(set(got.values())) == 1
 
     # The spread bound may skip only a search that would give up on its
@@ -594,27 +582,29 @@ class TestBoundaryHashing:
         spans = sum(hash_value(fn, high) - hash_value(fn, low) for fn in fns)
         tables = LeafTables(Segment(1, x.shape[1]), fns)
         with np.errstate(all="raise", under="ignore"), pytest.MonkeyPatch.context() as mp:
+            columns = _force(mp, "column", x)
             mp.setattr(dlde.density, "_BOUNDARY_SHARE", spans / x.size)
             calls = _spy_bucket_keys(mp)
-            leaf_point_densities(x, tables)
-            limit = dlde.density._BOUNDARY_SHARE * x.size
-        note(f"path {_path(calls, x.size)}, spans {spans}, limit {limit}")
-        if _path(calls, x.size) == "skipped":
+            leaf_point_densities(x, tables, **columns)
+            limit = dlde.density._BOUNDARY_SHARE * x.shape[0] * x.shape[1]
+        note(f"path {_path(calls, len(fns))}, spans {spans}, limit {limit}")
+        if _path(calls, len(fns)) == "skipped":
             assert spans > limit
 
-    # (values, functions, the path taken); each column of values is one leaf
-    # column.  Under width 0.5 and offset 0 the key is 2v.
+    # (values, functions, the path taken) of a leaf given its sorted columns
+    # and too large for one block, at the share score uses; each column of
+    # values is one leaf column.  Under width 0.5 and offset 0 the key is 2v.
     HALF = hash_fns((0.5, 0.0))
     PATHS = {
-        "all_equal": (np.full((6, 5), 0.4), EDGE_FNS, "search"),
-        "one_key_each": (0.4 + 1e-9 * np.arange(12.0).reshape(4, 3), EDGE_FNS, "search"),
+        "all_equal": (np.full((6, 5), 0.4), EDGE_FNS, "column"),
+        "one_key_each": (0.4 + 1e-9 * np.arange(12.0).reshape(4, 3), EDGE_FNS, "column"),
         # 16 values of two keys each: 1 or 2 boundaries, within 1/8 of them
-        "keys_below_2**52": (_two_values(2.0**51 - 1, 2.0**51 - 2), HALF, "search"),
+        "keys_below_2**52": (_two_values(2.0**51 - 1, 2.0**51 - 2), HALF, "column"),
         "keys_at_2**52": (_two_values(2.0**51, 2.0**51 - 1), HALF, "gave_up"),
-        "keys_above_-2**52": (_two_values(-(2.0**51) + 1, -(2.0**51) + 0.5), HALF, "search"),
+        "keys_above_-2**52": (_two_values(-(2.0**51) + 1, -(2.0**51) + 0.5), HALF, "column"),
         "keys_at_-2**52": (_two_values(-(2.0**51), -(2.0**51) + 1), HALF, "gave_up"),
         # 16 values: 2 boundaries are within 1/8 of them, 3 are not
-        "share_met": (_two_values(0.0, 1.0), HALF, "search"),
+        "share_met": (_two_values(0.0, 1.0), HALF, "column"),
         "share_exceeded": (_two_values(0.0, 1.5), HALF, "gave_up"),
         # a spread of s crosses more than 2s - 1 boundaries: less a slack of
         # one, that bound alone is over 2 at s = 2.5, and not at s = 2
@@ -624,7 +614,7 @@ class TestBoundaryHashing:
         # upper key rounds down to -3: 8 boundaries, which 64 values allow.
         # The spread bound reads 8 and an ulp; its slack keeps the search.
         "edge_key_rounds_down": (
-            _two_values(-11 * 0.1 - 0.1, -2 * 0.1 - 0.1, 32), hash_fns((0.1, 0.1)), "search"
+            _two_values(-11 * 0.1 - 0.1, -2 * 0.1 - 0.1, 32), hash_fns((0.1, 0.1)), "column"
         ),
     }
 
@@ -632,61 +622,58 @@ class TestBoundaryHashing:
     def test_path_and_densities(self, monkeypatch, case):
         x, fns, path = self.PATHS[case]
         segment = Segment(1, x.shape[1])
+        columns = _force(monkeypatch, "column", x)
+        monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", SHARE)
         calls = _spy_bucket_keys(monkeypatch)
         with np.errstate(all="raise"):
-            got = leaf_point_densities(x, LeafTables(segment, fns))
-        assert _path(calls, x.size) == path
+            got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
+        assert _path(calls, len(fns)) == path
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         np.testing.assert_array_equal(got, np.array(expected))
 
-    def test_unproved_position_falls_back(self):
+    def test_unproved_position_falls_back(self, monkeypatch):
         # values on bucket edges and one float either side: the search lands
         # a float off the key change at some boundary, the proof fails there,
-        # and the leaf is hashed in full, with the same densities.  A failed
-        # column search leaves the leaf to the merged search, which fails
-        # alike: the neighbours of a value in its column lie no nearer to it
-        # than its neighbours among all the leaf's values.  A budget of no
-        # elements hashes the 3 functions one a call.
+        # and the leaf is hashed in full, with the same densities.  A budget
+        # of no elements hashes the 3 functions one a call.
         x, fns = _on_bucket_edges()
         segment = Segment(1, x.shape[1])
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
-        for way, hashed in (("merged", [1, 2, 1]), ("column", [1, 3, 1, 2, 1, 1, 1])):
-            with pytest.MonkeyPatch.context() as mp:
-                columns = _force(mp, way, x)
-                calls = _spy_bucket_keys(mp)
-                got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
-            assert [v.ndim for v, _, _ in calls] == hashed
-            np.testing.assert_array_equal(got, np.array(expected))
+        columns = _force(monkeypatch, "column", x)
+        calls = _spy_bucket_keys(monkeypatch)
+        got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
+        assert [v.ndim for v, _, _ in calls] == [1, 3, 1, 1, 1]
+        np.testing.assert_array_equal(got, np.array(expected))
 
-    # (values, the share, the path taken) of a leaf given its sorted columns
-    # and too large for one block.  The share counts boundaries a row here.
-    # The functions' bucket edges are binary fractions, at least 0.0125 from
-    # every value of one decimal, so no proof fails on a rounded key.
+    # (values, functions, the share) of a leaf given its sorted columns and
+    # too large for one block; each takes the column search.  The bucket
+    # edges of EXACT are binary fractions, at least 0.0125 from every value
+    # of one decimal, so no proof fails on a rounded key.
     EXACT = hash_fns((0.25, 0.0), (0.5, 0.125))
     COLUMN_PATHS = {
         "equal_in_adjacent_columns": (
-            np.round(np.random.default_rng(5).normal(size=(9, 2)), 1)[:, [0, 0, 1]], np.inf, "column"
+            np.round(np.random.default_rng(5).normal(size=(9, 2)), 1)[:, [0, 0, 1]], EXACT, np.inf
         ),
         "ties_across_columns": (
-            np.random.default_rng(6).choice([-0.4, 0.1, 0.35, 0.9], size=(10, 4)), np.inf, "column"
+            np.random.default_rng(6).choice([-0.4, 0.1, 0.35, 0.9], size=(10, 4)), EXACT, np.inf
         ),
-        "one_column": (np.round(np.random.default_rng(7).normal(size=(12, 1)), 1), np.inf, "column"),
-        "all_equal": (np.full((6, 5), 0.4), np.inf, "column"),
-        # 4 rows, 16 values, 2 boundaries: within 1/8 of the values, not of the rows
-        "share_per_row": (_two_values(0.0, 1.0), dlde.density._BOUNDARY_SHARE, "search"),
+        "one_column": (np.round(np.random.default_rng(7).normal(size=(12, 1)), 1), EXACT, np.inf),
+        "all_equal": (np.full((6, 5), 0.4), EXACT, np.inf),
+        # 4 rows, 16 values, 2 boundaries: the share counts boundaries a
+        # value, within 1/8 of the values though not of the rows
+        "share_per_row": (_two_values(0.0, 1.0), HALF, SHARE),
     }
 
     @pytest.mark.parametrize("case", COLUMN_PATHS)
     def test_column_path_and_densities(self, monkeypatch, case):
-        x, share, path = self.COLUMN_PATHS[case]
-        fns = self.EXACT if path == "column" else self.HALF
+        x, fns, share = self.COLUMN_PATHS[case]
         segment = Segment(1, x.shape[1])
         columns = _force(monkeypatch, "column", x)
         monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", share)
         calls = _spy_bucket_keys(monkeypatch)
         with np.errstate(all="raise"):
             got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
-        assert _path(calls, x.size) == path
+        assert _path(calls, len(fns)) == "column"
         expected = tree_point_densities(x.tolist(), TSTree((segment,), (0,)), {segment: fns})
         np.testing.assert_array_equal(got, np.array(expected))
 
@@ -704,7 +691,7 @@ class TestBoundaryHashing:
         columns = _force(monkeypatch, "column", x)
         calls = _spy_bucket_keys(monkeypatch)
         got = leaf_point_densities(x, LeafTables(segment, fns), **columns)
-        assert [v.ndim for v, _, _ in calls] == [1, 3, 1, 2, 1]
+        assert [v.ndim for v, _, _ in calls] == [1, 3, 1]
         before, after = dlde.hashing.bucket_keys(*calls[1])
         k = np.arange(1, 4)  # the boundaries between keys 0 and 3
         proved = (before < k) & (k <= after)

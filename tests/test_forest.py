@@ -68,15 +68,13 @@ class TestFit:
 
     def test_each_leaf_block_hashed_once(self, monkeypatch):
         # fit proves the key range from the dataset's peak and hashes
-        # nothing.  score, leaf by leaf, hashes on one of three paths.  Under
-        # a negative share the leaf's spread alone rules both searches out,
-        # and the full-hash path hashes the leaf's sorted values under each
-        # function exactly once, in order, in blocks of (g, 1) offset and
-        # width columns.  On a search, one call hashes the leaf's two
-        # extremes under all its functions, and one more the two values
-        # around every key boundary between them, in the leaf's sorted
-        # values or, for a leaf over the budget, in each of its sorted
-        # columns.  Nothing else is hashed.
+        # nothing.  score, leaf by leaf, hashes on one of two paths.  Full
+        # hashing hashes the leaf's sorted values under each function
+        # exactly once, in order, in blocks of (g, 1) offset and width
+        # columns.  A leaf over the budget searches its sorted columns: one
+        # call hashes its two extremes under all its functions, and one more
+        # the two values around every key boundary between them in each of
+        # its columns.  Nothing else is hashed.
         calls = []
 
         def counting(values, offset, width):
@@ -92,16 +90,9 @@ class TestFit:
         tables = [model.leaf_tables[s] for model in forest.trees for s in model.tree.segments]
         blocks = [np.sort(x[:, t.segment.columns], axis=None) for t in tables]
 
-        def assert_extremes(call, leaf, block):
-            values, offset, width = call
-            assert values.tolist() == [block[0], block[-1]]
-            assert offset.shape == width.shape == (10, 1)
-            assert list(zip(offset[:, 0].tolist(), width[:, 0].tolist())) == [
-                (fn.offset, fn.width) for fn in leaf.fns
-            ]
-
         # a leaf of at most 9 * 16 values takes its 10 functions in one call;
-        # a budget of one element takes them one call each
+        # over a budget of one element, a negative share rules the column
+        # search out by the leaf's spread alone, and each function takes a call
         default = dlde.density._BLOCK
         monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", -1.0)
         for budget, per_leaf in ((default, 1), (1, 10)):
@@ -120,29 +111,24 @@ class TestFit:
                     assert offset.shape == width.shape == (10 // per_leaf, 1)
                     np.testing.assert_array_equal(values, block)
 
-        # every leaf is within the default budget, and over a budget of one
+        # over a budget of one, every leaf searches its sorted columns
         monkeypatch.setattr(dlde.density, "_BOUNDARY_SHARE", np.inf)
-        for budget in (default, 1):
-            monkeypatch.setattr(dlde.density, "_BLOCK", budget)
-            calls.clear()
-            score(forest, ds)
-            assert len(calls) == 2 * len(tables)
-            for i, (leaf, block) in enumerate(zip(tables, blocks)):
-                assert_extremes(calls[2 * i], leaf, block)
-                pairs, offset, width = calls[2 * i + 1]
-                spans = [hash_value(fn, block[-1]) - hash_value(fn, block[0]) for fn in leaf.fns]
-                searched = [block] if budget == default else list(
-                    np.sort(x[:, leaf.segment.columns], axis=0).T
-                )
-                assert pairs.shape == (2, *[len(searched)] * (budget != default), sum(spans))
-                assert list(zip(offset.tolist(), width.tolist())) == [
-                    (fn.offset, fn.width) for fn, span in zip(leaf.fns, spans) for _ in range(span)
-                ]
-                # each pair is two neighbours in the sorted values searched
-                for values, found in zip(searched, pairs.reshape(2, len(searched), -1).swapaxes(0, 1)):
-                    values = np.concatenate([[-np.inf], values, [np.inf]])
-                    at = values.searchsorted(found[1])
-                    np.testing.assert_array_equal(values[at - 1], found[0])
+        calls.clear()
+        score(forest, ds)
+        assert len(calls) == 2 * len(tables)
+        for i, (leaf, block) in enumerate(zip(tables, blocks)):
+            extremes, offset, width = calls[2 * i]
+            assert extremes.tolist() == [block[0], block[-1]]
+            assert offset.shape == width.shape == (10, 1)
+            assert list(zip(offset[:, 0].tolist(), width[:, 0].tolist())) == [
+                (fn.offset, fn.width) for fn in leaf.fns
+            ]
+            pairs, offset, width = calls[2 * i + 1]
+            spans = [hash_value(fn, block[-1]) - hash_value(fn, block[0]) for fn in leaf.fns]
+            assert pairs.shape == (2, leaf.segment.length, sum(spans))
+            assert list(zip(offset.tolist(), width.tolist())) == [
+                (fn.offset, fn.width) for fn, span in zip(leaf.fns, spans) for _ in range(span)
+            ]
 
     def test_too_small_dataset_rejected(self):
         ds = random_dataset(np.random.default_rng(2), 4, 8)
